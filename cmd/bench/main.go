@@ -90,18 +90,8 @@ func main() {
 		metricsCSV = flag.String("metrics", "ns,allocs,cycles,accesses", "gate: comma-separated metrics to gate (ns, bytes, allocs, cycles, accesses)")
 		plant      = flag.Float64("plant", 1.0, "multiply the under-test ns_per_op and allocs_per_op by this factor (gate self-test: 1.25 must fail)")
 		benchtime  = flag.String("benchtime", "", "override testing benchtime (e.g. 200ms) for quicker local runs")
-		calFlag    = flag.String("calendar", "wheel", "event calendar to measure with (wheel or heap); simulation metrics are identical, only host time differs")
 	)
 	flag.Parse()
-
-	switch *calFlag {
-	case "", "wheel":
-		calendar = cpelide.CalendarWheel
-	case "heap":
-		calendar = cpelide.CalendarHeap
-	default:
-		log.Fatalf("bad -calendar %q: want wheel or heap", *calFlag)
-	}
 
 	if *benchtime != "" {
 		if err := flag.Lookup("test.benchtime").Value.Set(*benchtime); err != nil {
@@ -237,12 +227,8 @@ func runOne(c benchCase, prof *cpelide.PhaseProfiler) (*cpelide.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cpelide.Run(cfg, w, cpelide.Options{Protocol: c.Protocol, Profiler: prof, Calendar: calendar})
+	return cpelide.Run(cfg, w, cpelide.Options{Protocol: c.Protocol, Profiler: prof})
 }
-
-// calendar is the event-calendar implementation the whole matrix runs on,
-// set once from the -calendar flag.
-var calendar cpelide.CalendarKind
 
 // gate compares the under-test results to the baseline and returns one
 // message per violation: a gated metric more than maxRegress worse, or a

@@ -316,22 +316,9 @@ type Options struct {
 	// Profilers are single-use: pass a fresh NewPhaseProfiler per run.
 	Profiler *PhaseProfiler
 
-	// Calendar selects the event engine's calendar implementation: the
-	// default timer wheel or the reference binary heap (kept for
-	// differential testing). The two deliver events in identical
-	// (time, schedule-order) sequence, so every report is byte-identical
-	// regardless of the choice.
+	// Deprecated: ignored; there is one calendar.
 	Calendar event.CalendarKind
 }
-
-// CalendarKind selects the event engine's calendar implementation.
-type CalendarKind = event.CalendarKind
-
-// Calendar kinds for Options.Calendar, re-exported from the event package.
-const (
-	CalendarWheel = event.CalendarWheel
-	CalendarHeap  = event.CalendarHeap
-)
 
 // Mutation selects a deliberate CP weakening for mutation testing.
 type Mutation int
@@ -620,7 +607,6 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 		InferAnnotations: opt.InferAnnotations,
 		PerKernel:        opt.PerKernelStats,
 		Ctx:              ctx,
-		Calendar:         opt.Calendar,
 	})
 	if err != nil {
 		return nil, err

@@ -20,9 +20,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "eventsafety",
 	Doc: "flag delay expressions that can underflow or go negative when passed to " +
-		"event.Engine.Schedule/ScheduleAfter, handler closures capturing loop " +
-		"variables under pre-Go-1.22 semantics, and handlers taking the address " +
-		"of their delivered event (the engine pools and recycles events)",
+		"event.Engine.Schedule/ScheduleAfter, and handler closures capturing loop " +
+		"variables under pre-Go-1.22 semantics",
 	Run: run,
 }
 
@@ -44,70 +43,12 @@ func run(pass *analysis.Pass) error {
 				return false
 			case *ast.CallExpr:
 				checkScheduleCall(pass, n, loops, pre122)
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					checkEventRetention(pass, n.Type, n.Body)
-				}
-			case *ast.FuncLit:
-				checkEventRetention(pass, n.Type, n.Body)
 			}
 			return true
 		}
 		ast.Inspect(f, walk)
 	}
 	return nil
-}
-
-// checkEventRetention flags handlers that take the address of their
-// event.Event parameter. Handle receives the event by value precisely so the
-// engine can recycle the delivered node into its pool the moment the handler
-// returns; &e invites storing a pointer that outlives the delivery, and the
-// copy's Payload may alias state the next delivery reuses. Handlers should
-// copy the fields they need instead.
-func checkEventRetention(pass *analysis.Pass, ft *ast.FuncType, body *ast.BlockStmt) {
-	if ft.Params == nil {
-		return
-	}
-	eventParams := map[types.Object]bool{}
-	for _, field := range ft.Params.List {
-		for _, name := range field.Names {
-			obj := pass.TypesInfo.Defs[name]
-			if obj != nil && isEventStruct(obj.Type()) {
-				eventParams[obj] = true
-			}
-		}
-	}
-	if len(eventParams) == 0 {
-		return
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		u, ok := n.(*ast.UnaryExpr)
-		if !ok || u.Op != token.AND {
-			return true
-		}
-		id, ok := u.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if obj := pass.TypesInfo.Uses[id]; obj != nil && eventParams[obj] {
-			pass.Reportf(u.Pos(),
-				"handler takes the address of its event parameter %q: the engine recycles delivered events into a pool when the handler returns, so a retained pointer observes a future delivery; copy the fields you need instead",
-				id.Name)
-			eventParams[obj] = false // one report per parameter
-		}
-		return true
-	})
-}
-
-// isEventStruct reports whether t is the event engine's Event type, matched
-// (like IsEngineMethod) by package and type name so fixture stubs qualify.
-func isEventStruct(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Event" && obj.Pkg() != nil && obj.Pkg().Name() == "event"
 }
 
 func walkChildren(n ast.Node, walk func(ast.Node) bool) {

@@ -18,7 +18,3 @@ func TestLoopCapturePre122(t *testing.T) {
 func TestLoopCaptureSafeAt122(t *testing.T) {
 	analysistest.Run(t, "testdata", "loop122", eventsafety.Analyzer)
 }
-
-func TestEventRetention(t *testing.T) {
-	analysistest.Run(t, "testdata", "retain", eventsafety.Analyzer)
-}

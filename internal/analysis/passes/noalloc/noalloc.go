@@ -1,6 +1,6 @@
 // Package noalloc implements the cpelint pass behind the //cpelide:noalloc
-// function annotation. The simulator's hot paths — timer-wheel insert/pop,
-// the engine's event pool, RangeSet algebra, cache lookups, stats counters —
+// function annotation. The simulator's hot paths — event scheduling,
+// RangeSet algebra, cache lookups, stats counters —
 // were hand-optimized to zero steady-state allocations (DESIGN §16), and the
 // BENCH_core gate fails on allocation regressions; this pass makes the same
 // invariant a compile-time property, so a regression is reported at the line
@@ -22,8 +22,9 @@
 //   - calls to functions that are not themselves annotated //cpelide:noalloc
 //     (a short allowlist covers provably non-allocating stdlib helpers)
 //
-// Amortized growth of engine-owned storage (an event pool refilling, a
-// RangeSet spilling past its inline array) is a deliberate exception: those
+// Amortized growth of owned storage (the event queue reaching its pending
+// high-water mark, a RangeSet spilling past its inline array) is a deliberate
+// exception: those
 // sites carry a //cpelint:ignore noalloc directive with a reason, and the
 // documented baseline in DESIGN §17 enumerates every one.
 package noalloc

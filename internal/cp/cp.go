@@ -81,9 +81,7 @@ type RunnerConfig struct {
 	// simulated GPU has no preemption), so cancellation latency is one
 	// kernel span.
 	Ctx context.Context
-	// Calendar selects the event engine's calendar implementation (default
-	// timer wheel; the reference heap is kept for differential testing).
-	// Both deliver events in identical order, so reports are byte-identical.
+	// Deprecated: ignored; there is one calendar.
 	Calendar event.CalendarKind
 }
 
@@ -118,7 +116,7 @@ type streamState struct {
 func NewRunner(x *gpu.Executor, specs []StreamSpec, rc RunnerConfig) (*Runner, error) {
 	m := x.M
 	r := &Runner{
-		Eng:         event.NewWithCalendar(rc.Calendar),
+		Eng:         event.New(),
 		X:           x,
 		Cfg:         rc,
 		chipletBusy: make([]event.Time, m.Cfg.NumChiplets),

@@ -7,26 +7,12 @@
 // may schedule further events. Ties are broken by insertion order so
 // simulations are deterministic.
 //
-// Two calendar implementations exist behind the same Engine API. The default
-// is a bucketed timer wheel: near-future events hash into one of 256 buckets
-// by (When - base) >> bucketShift, and events beyond the wheel's horizon wait
-// in an overflow level that is re-bucketed when the wheel advances past its
-// horizon. The original binary heap is kept behind CalendarHeap so the
-// differential equivalence tests can prove the two produce byte-identical
-// simulations.
-//
-// Event nodes are pooled: the engine owns a free list, Schedule takes a node
-// from it, and the node returns to the list after the handler runs. Handlers
-// receive the event by value, so they cannot retain the pooled node; the
-// cpelint eventsafety pass additionally flags handlers that take the address
-// of their event parameter.
+// The simulator is kernel-granular, so the calendar is tiny: a few pending
+// events at most (DESIGN §16). It is a slice kept sorted by (When, seq):
+// Schedule inserts by a linear scan from the tail and Run pops the head.
 package event
 
-import (
-	"container/heap"
-	"errors"
-	"math/bits"
-)
+import "errors"
 
 // ErrPastEvent reports an attempt to schedule an event before the current
 // clock: a causality bug in the caller. It is returned (not panicked) so
@@ -40,9 +26,7 @@ type Time uint64
 // Handler consumes an event when the simulation clock reaches its time.
 type Handler interface {
 	// Handle processes the event. It runs exactly once, at the event's
-	// scheduled time, with the engine clock already advanced. The event is
-	// passed by value and must not outlive the call by address: the node it
-	// was copied from returns to the engine's pool when Handle returns.
+	// scheduled time, with the engine clock already advanced.
 	Handle(e Event)
 }
 
@@ -61,245 +45,20 @@ type Event struct {
 	seq uint64 // tie-break: FIFO among events at the same time
 }
 
-// CalendarKind selects the Engine's pending-event calendar implementation.
+// CalendarKind is retained only so option structs that still carry a
+// calendar field keep compiling; there is one calendar and no kinds.
 type CalendarKind uint8
 
-const (
-	// CalendarWheel is the default: a bucketed timer wheel with an overflow
-	// level, re-bucketed on horizon advance.
-	CalendarWheel CalendarKind = iota
-	// CalendarHeap is the original container/heap calendar, kept so the
-	// differential equivalence tests can compare the two implementations.
-	CalendarHeap
-)
-
-// String returns the calendar's name as used in test and bench labels.
-func (k CalendarKind) String() string {
-	if k == CalendarHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// queue implements heap.Interface ordered by (When, seq).
-type queue []*Event
-
-func (q queue) Len() int { return len(q) }
-func (q queue) Less(i, j int) bool {
-	if q[i].When != q[j].When {
-		return q[i].When < q[j].When
-	}
-	return q[i].seq < q[j].seq
-}
-func (q queue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *queue) Push(x any)   { *q = append(*q, x.(*Event)) }
-func (q *queue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Timer-wheel geometry: 256 buckets of 64 cycles each give a 16384-cycle
-// horizon. Events beyond the horizon go to the overflow level; when the wheel
-// drains, the base jumps directly to the earliest overflow event and the
-// overflow is re-bucketed, so advancing costs one overflow scan per jump
-// regardless of how far the clock moves.
-const (
-	wheelBuckets = 256
-	bucketShift  = 6
-	wheelHorizon = Time(wheelBuckets) << bucketShift
-)
-
-// wheelBucket holds the events of one time slice. Events append unsorted (in
-// seq order); the bucket is sorted by (When, seq) lazily, when it becomes the
-// drain target, and re-sorted if a handler schedules into it mid-drain.
-type wheelBucket struct {
-	ev    []*Event
-	head  int  // ev[:head] already delivered (slots nil)
-	dirty bool // ev[head:] may be out of (When, seq) order
-}
-
-// wheel is the default calendar. Invariant: every overflow event's When is at
-// least base+wheelHorizon, and every bucketed event's When is in
-// [base, base+wheelHorizon), so the wheel always holds the global minimum
-// when it is non-empty. Externally base <= now always holds (rebase can move
-// base past now only inside pop, which immediately returns the event the new
-// base was derived from), so Schedule's t >= now guard implies t >= base.
-type wheel struct {
-	base     Time
-	buckets  [wheelBuckets]wheelBucket
-	occupied [wheelBuckets / 64]uint64
-	overflow []*Event
-	count    int
-}
-
-//cpelide:noalloc
-func eventLess(a, b *Event) bool {
-	if a.When != b.When {
-		return a.When < b.When
-	}
-	return a.seq < b.seq
-}
-
-// sortBucket insertion-sorts ev by (When, seq). Buckets are small and nearly
-// sorted (pushes arrive in seq order), so this beats sort.Slice and allocates
-// nothing.
-//
-//cpelide:noalloc
-func sortBucket(ev []*Event) {
-	for i := 1; i < len(ev); i++ {
-		e := ev[i]
-		j := i - 1
-		for j >= 0 && eventLess(e, ev[j]) {
-			ev[j+1] = ev[j]
-			j--
-		}
-		ev[j+1] = e
-	}
-}
-
-// push files one event into the calendar.
-//
-//cpelide:noalloc amortized bucket growth is baselined inside place
-func (w *wheel) push(ev *Event) {
-	w.count++
-	w.place(ev)
-}
-
-// place files ev into its bucket or the overflow level (count not touched).
-//
-//cpelide:noalloc
-func (w *wheel) place(ev *Event) {
-	if ev.When-w.base >= wheelHorizon {
-		//cpelint:ignore noalloc overflow level grows amortized; steady state reuses its backing array
-		w.overflow = append(w.overflow, ev)
-		return
-	}
-	b := int((ev.When - w.base) >> bucketShift)
-	bk := &w.buckets[b]
-	if n := len(bk.ev); n > bk.head && ev.When < bk.ev[n-1].When {
-		bk.dirty = true
-	}
-	//cpelint:ignore noalloc bucket storage grows amortized and is reused across wheel rotations
-	bk.ev = append(bk.ev, ev)
-	w.occupied[b>>6] |= 1 << (b & 63)
-}
-
-// firstOccupied returns the lowest occupied bucket index, or -1. Buckets
-// below the pending minimum are always empty (events deliver in time order
-// and Schedule rejects the past), so scanning from zero is correct.
-//
-//cpelide:noalloc
-func (w *wheel) firstOccupied() int {
-	for wi, word := range w.occupied {
-		if word != 0 {
-			return wi<<6 + bits.TrailingZeros64(word)
-		}
-	}
-	return -1
-}
-
-// rebase jumps the wheel to the earliest overflow event and re-buckets the
-// overflow level. Called only when the wheel is empty and overflow is not.
-// Re-bucketing reuses the overflow backing array in place.
-//
-//cpelide:noalloc
-func (w *wheel) rebase() {
-	min := w.overflow[0].When
-	for _, ev := range w.overflow[1:] {
-		if ev.When < min {
-			min = ev.When
-		}
-	}
-	w.base = min &^ (1<<bucketShift - 1)
-	keep := w.overflow[:0]
-	for _, ev := range w.overflow {
-		if ev.When-w.base < wheelHorizon {
-			w.place(ev)
-		} else {
-			keep = append(keep, ev)
-		}
-	}
-	for i := len(keep); i < len(w.overflow); i++ {
-		w.overflow[i] = nil
-	}
-	w.overflow = keep
-}
-
-// pop removes and returns the earliest pending event, or nil.
-//
-//cpelide:noalloc
-func (w *wheel) pop() *Event {
-	if w.count == 0 {
-		return nil
-	}
-	for {
-		b := w.firstOccupied()
-		if b < 0 {
-			w.rebase()
-			continue
-		}
-		bk := &w.buckets[b]
-		if bk.dirty {
-			sortBucket(bk.ev[bk.head:])
-			bk.dirty = false
-		}
-		ev := bk.ev[bk.head]
-		bk.ev[bk.head] = nil
-		bk.head++
-		if bk.head == len(bk.ev) {
-			bk.ev = bk.ev[:0]
-			bk.head = 0
-			w.occupied[b>>6] &^= 1 << (b & 63)
-		}
-		w.count--
-		return ev
-	}
-}
-
-// reset recycles every pending event through fn and empties the wheel.
-func (w *wheel) reset(fn func(*Event)) {
-	for b := range w.buckets {
-		bk := &w.buckets[b]
-		for i := bk.head; i < len(bk.ev); i++ {
-			fn(bk.ev[i])
-			bk.ev[i] = nil
-		}
-		bk.ev = bk.ev[:0]
-		bk.head = 0
-		bk.dirty = false
-	}
-	for i := range w.occupied {
-		w.occupied[i] = 0
-	}
-	for i, ev := range w.overflow {
-		fn(ev)
-		w.overflow[i] = nil
-	}
-	w.overflow = w.overflow[:0]
-	w.base = 0
-	w.count = 0
-}
-
 // Engine owns the simulation clock and the pending-event calendar.
-// The zero value is ready to use (with the timer-wheel calendar).
+// The zero value is ready to use.
 type Engine struct {
 	now     Time
 	nextSeq uint64
 	stopped bool
 
-	useHeap bool
-	hq      queue
-	wheel   wheel
-
-	// free is the engine-owned event pool. Schedule takes a node from it and
-	// the node returns after its handler runs; outstanding counts nodes
-	// currently scheduled or in delivery, so a drained engine reports zero.
-	free        []*Event
-	outstanding int
+	// queue holds the pending events sorted by (When, seq); the earliest is
+	// queue[0].
+	queue []Event
 
 	// OnDeliver, when non-nil, is invoked with the (already advanced) clock
 	// before each event's handler runs. The trace recorder uses it as its
@@ -313,111 +72,36 @@ type Engine struct {
 	Prof Profiler
 }
 
-// New returns an Engine with the clock at zero and the default timer-wheel
-// calendar.
+// New returns an Engine with the clock at zero.
 func New() *Engine { return &Engine{} }
-
-// NewWithCalendar returns an Engine using the given calendar implementation.
-// Simulations are byte-identical across calendars; CalendarHeap exists for
-// the differential equivalence tests and A/B benchmarking.
-func NewWithCalendar(k CalendarKind) *Engine {
-	return &Engine{useHeap: k == CalendarHeap}
-}
-
-// Calendar reports which calendar implementation the engine uses.
-func (e *Engine) Calendar() CalendarKind {
-	if e.useHeap {
-		return CalendarHeap
-	}
-	return CalendarWheel
-}
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events not yet delivered.
-func (e *Engine) Pending() int {
-	if e.useHeap {
-		return len(e.hq)
-	}
-	return e.wheel.count
-}
-
-// PoolOutstanding returns the number of pool-owned event nodes currently
-// scheduled or in delivery. A drained engine reports zero; a nonzero value
-// after Run returns with an empty calendar indicates a leak.
-func (e *Engine) PoolOutstanding() int { return e.outstanding }
-
-// PoolFree returns the number of idle nodes in the engine's free list.
-func (e *Engine) PoolFree() int { return len(e.free) }
-
-// get takes an event node from the pool, growing it on demand.
-//
-//cpelide:noalloc pool growth is baselined below; steady state recycles nodes
-func (e *Engine) get() *Event {
-	e.outstanding++
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
-	}
-	//cpelint:ignore noalloc pool growth: one node per high-water increase, zero steady-state
-	return &Event{}
-}
-
-// put returns a delivered (or dropped) node to the pool. References are
-// cleared so a pooled node never pins a handler or payload.
-//
-//cpelide:noalloc free-list growth is baselined below
-func (e *Engine) put(ev *Event) {
-	ev.Handler = nil
-	ev.Payload = nil
-	//cpelint:ignore noalloc free list grows to the pool high-water mark, then stabilizes
-	e.free = append(e.free, ev)
-	e.outstanding--
-}
-
-// push hands one node to the active calendar.
-//
-//cpelide:noalloc heap calendar is baselined below; the wheel path is clean
-func (e *Engine) push(ev *Event) {
-	if e.useHeap {
-		//cpelint:ignore noalloc heap calendar is the A/B reference, not the default hot path
-		heap.Push(&e.hq, ev)
-		return
-	}
-	e.wheel.push(ev)
-}
-
-// pop takes the earliest node from the active calendar.
-//
-//cpelide:noalloc heap calendar is baselined below; the wheel path is clean
-func (e *Engine) pop() *Event {
-	if e.useHeap {
-		if len(e.hq) == 0 {
-			return nil
-		}
-		//cpelint:ignore noalloc heap calendar is the A/B reference, not the default hot path
-		return heap.Pop(&e.hq).(*Event)
-	}
-	return e.wheel.pop()
-}
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule enqueues an event for handler h at absolute time t with the given
 // payload. Scheduling in the past (t < Now) returns ErrPastEvent and enqueues
 // nothing: it indicates a causality bug in the caller, which should stop the
 // simulation and surface the error.
 //
-//cpelide:noalloc
+//cpelide:noalloc queue growth is baselined below; steady state reuses its backing array
 func (e *Engine) Schedule(t Time, h Handler, payload any) error {
 	if t < e.now {
 		return ErrPastEvent
 	}
-	ev := e.get()
-	ev.When, ev.Handler, ev.Payload, ev.seq = t, h, payload, e.nextSeq
+	// A new event sorts after every pending event with When <= t (its seq
+	// is the largest), so scan from the tail for its slot.
+	i := len(e.queue)
+	for i > 0 && e.queue[i-1].When > t {
+		i--
+	}
+	//cpelint:ignore noalloc queue grows to the pending high-water mark, then stabilizes
+	e.queue = append(e.queue, Event{})
+	copy(e.queue[i+1:], e.queue[i:])
+	e.queue[i] = Event{When: t, Handler: h, Payload: payload, seq: e.nextSeq}
 	e.nextSeq++
-	e.push(ev)
 	return nil
 }
 
@@ -439,14 +123,16 @@ func (e *Engine) Run() Time {
 		prev := e.Prof.SetPhase(PhaseCalendar)
 		defer e.Prof.SetPhase(prev)
 	}
-	for e.Pending() > 0 && !e.stopped {
-		ev := e.pop()
+	for len(e.queue) > 0 && !e.stopped {
+		ev := e.queue[0]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = Event{} // drop the vacated slot's handler and payload
+		e.queue = e.queue[:n]
 		e.now = ev.When
 		if e.OnDeliver != nil {
 			e.OnDeliver(e.now)
 		}
-		ev.Handler.Handle(*ev)
-		e.put(ev)
+		ev.Handler.Handle(ev)
 		if e.Prof != nil {
 			// Handlers may have marked their own phases; the loop is back in
 			// calendar bookkeeping until the next delivery.
@@ -454,40 +140,4 @@ func (e *Engine) Run() Time {
 		}
 	}
 	return e.now
-}
-
-// Step delivers exactly one event, if any, and reports whether one was
-// delivered.
-func (e *Engine) Step() bool {
-	if e.Pending() == 0 {
-		return false
-	}
-	if e.Prof != nil {
-		prev := e.Prof.SetPhase(PhaseCalendar)
-		defer e.Prof.SetPhase(prev)
-	}
-	ev := e.pop()
-	e.now = ev.When
-	if e.OnDeliver != nil {
-		e.OnDeliver(e.now)
-	}
-	ev.Handler.Handle(*ev)
-	e.put(ev)
-	return true
-}
-
-// Reset drops all pending events (their nodes return to the pool) and
-// rewinds the clock to zero.
-func (e *Engine) Reset() {
-	if e.useHeap {
-		for _, ev := range e.hq {
-			e.put(ev)
-		}
-		e.hq = nil
-	} else {
-		e.wheel.reset(e.put)
-	}
-	e.now = 0
-	e.nextSeq = 0
-	e.stopped = false
 }

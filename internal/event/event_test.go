@@ -88,34 +88,6 @@ func TestEnginePastScheduleError(t *testing.T) {
 	}
 }
 
-func TestEngineStopAndStep(t *testing.T) {
-	e := New()
-	n := 0
-	h := HandlerFunc(func(Event) {
-		n++
-		if n == 2 {
-			e.Stop()
-		}
-	})
-	for i := Time(1); i <= 5; i++ {
-		e.Schedule(i, h, nil)
-	}
-	e.Run()
-	if n != 2 {
-		t.Errorf("Stop: ran %d events", n)
-	}
-	if e.Pending() != 3 {
-		t.Errorf("pending = %d", e.Pending())
-	}
-	if !e.Step() || n != 3 {
-		t.Error("Step did not deliver one event")
-	}
-	e.Reset()
-	if e.Pending() != 0 || e.Now() != 0 || e.Step() {
-		t.Error("Reset incomplete")
-	}
-}
-
 func TestEngineStopLeavesCalendarAndRunResumes(t *testing.T) {
 	e := New()
 	var got []Time
@@ -152,33 +124,6 @@ func TestEngineStopLeavesCalendarAndRunResumes(t *testing.T) {
 	}
 }
 
-func TestEngineResetAfterStop(t *testing.T) {
-	e := New()
-	e.Schedule(1, HandlerFunc(func(Event) { e.Stop() }), nil)
-	e.Schedule(2, HandlerFunc(func(Event) {}), nil)
-	e.Run()
-	e.Reset()
-	if e.Pending() != 0 || e.Now() != 0 {
-		t.Fatal("Reset left state behind")
-	}
-	// After Reset the engine is indistinguishable from a fresh one: the
-	// stopped flag is clear (Run delivers again) and the seq counter is
-	// rewound (same-time events still tie-break in FIFO order from zero).
-	var got []int
-	for i := 0; i < 5; i++ {
-		i := i
-		e.Schedule(7, HandlerFunc(func(Event) { got = append(got, i) }), nil)
-	}
-	if end := e.Run(); end != 7 {
-		t.Errorf("post-Reset Run ended at %d, want 7", end)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("post-Reset tie-break not FIFO: %v", got)
-		}
-	}
-}
-
 func TestEngineOnDeliver(t *testing.T) {
 	e := New()
 	var clocks []Time
@@ -193,7 +138,7 @@ func TestEngineOnDeliver(t *testing.T) {
 	}
 	e.Run()
 	e.Schedule(30, h, nil)
-	e.Step()
+	e.Run()
 	want := []Time{5, 15, 25, 30}
 	if len(clocks) != len(want) {
 		t.Fatalf("OnDeliver fired %d times, want %d", len(clocks), len(want))
@@ -205,25 +150,42 @@ func TestEngineOnDeliver(t *testing.T) {
 	}
 }
 
-// Property: any random schedule is delivered in nondecreasing time order and
-// completely.
+// Property: any random schedule, including events that handlers schedule
+// during delivery, is delivered completely and in (time, schedule-order)
+// order: same-time events stay FIFO.
 func TestEngineOrderProperty(t *testing.T) {
+	type delivery struct {
+		when Time
+		id   int
+	}
 	rnd := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
 		e := New()
 		n := rnd.Intn(200)
-		var got []Time
-		h := HandlerFunc(func(ev Event) { got = append(got, ev.When) })
+		var got []delivery
+		next := 0
+		var h HandlerFunc
+		schedule := func(t Time) {
+			e.Schedule(t, h, next)
+			next++
+		}
+		h = func(ev Event) {
+			got = append(got, delivery{ev.When, ev.Payload.(int)})
+			if rnd.Intn(4) == 0 {
+				schedule(e.Now() + Time(rnd.Intn(20)))
+			}
+		}
 		for i := 0; i < n; i++ {
-			e.Schedule(Time(rnd.Intn(1000)), h, nil)
+			schedule(Time(rnd.Intn(1000)))
 		}
 		e.Run()
-		if len(got) != n {
-			t.Fatalf("delivered %d of %d", len(got), n)
+		if len(got) != next {
+			t.Fatalf("delivered %d of %d", len(got), next)
 		}
 		for i := 1; i < len(got); i++ {
-			if got[i] < got[i-1] {
-				t.Fatalf("out of order at %d: %v < %v", i, got[i], got[i-1])
+			a, b := got[i-1], got[i]
+			if b.when < a.when || (b.when == a.when && b.id < a.id) {
+				t.Fatalf("out of order at %d: %+v after %+v", i, b, a)
 			}
 		}
 	}

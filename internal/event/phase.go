@@ -15,7 +15,7 @@ const (
 	// PhaseIdle is everything outside the event loop: workload
 	// construction, machine assembly, report generation.
 	PhaseIdle Phase = iota
-	// PhaseCalendar is event-calendar bookkeeping: heap pushes and pops,
+	// PhaseCalendar is event-calendar bookkeeping: queue inserts and pops,
 	// clock advancement, dispatch-loop overhead.
 	PhaseCalendar
 	// PhaseCP is the global command processor: stream readiness checks,

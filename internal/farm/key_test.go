@@ -181,7 +181,7 @@ func TestOptionsKeyCoversOptions(t *testing.T) {
 		"Trace":    true, // observational only; cached Reports are shared
 		"Oracle":   true, // observer pointer, single-use; callers read it directly
 		"Profiler": true, // wall-clock attribution, nulled before execution
-		"Calendar": true, // host-side calendar choice; reports are byte-identical (TestCalendarEquivalence*)
+		"Calendar": true, // deprecated and ignored: the engine has one calendar
 	}
 	opt := reflect.TypeOf(cpelide.Options{})
 	key := reflect.TypeOf(optionsKey{})
