@@ -533,10 +533,11 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 	}
 
 	sheet := stats.New()
-	m, err := machine.New(cfg, bounds, sheet)
+	m, err := machine.Acquire(cfg, bounds, sheet)
 	if err != nil {
 		return nil, err
 	}
+	defer m.Release()
 	m.Trace = opt.Trace
 	var injector *faults.Injector
 	if opt.Faults.Enabled() {

@@ -116,6 +116,13 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 		RetryBaseDelay: 20 * time.Millisecond,
 		RetryMaxDelay:  200 * time.Millisecond,
 	}
+	retried := make(chan struct{}, 1)
+	campaign.OnTransientRetry = func() {
+		select {
+		case retried <- struct{}{}:
+		default:
+		}
+	}
 	type campaignOut struct {
 		res *Result
 		err error
@@ -136,6 +143,14 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 	}
 	cs1.kill()
 	t.Log("killed coordinator mid-campaign")
+	// Stay down until a campaign request has hit the outage: a restart
+	// faster than every client's next request would leave nothing for the
+	// transient-retry path to absorb.
+	select {
+	case <-retried:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no campaign request observed the coordinator outage within 30s")
+	}
 
 	// Restart over the same journal at the same address. Workers do not
 	// re-register: membership comes back from the journal.

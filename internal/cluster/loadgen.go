@@ -95,6 +95,11 @@ type Campaign struct {
 	RetryMaxDelay time.Duration
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
+	// OnTransientRetry, when non-nil, is called each time a transient
+	// transport error is absorbed (one Result.TransientRetries count),
+	// concurrently from the campaign's clients. Harnesses use it to hold
+	// an outage open until a request has observed it.
+	OnTransientRetry func()
 }
 
 // Result summarizes a campaign. Latencies are exact percentiles over every
@@ -387,9 +392,13 @@ func (c Campaign) sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// backoff sleeps a full-jitter exponential delay for the streak-th
-// consecutive transport error: uniform in (0, min(base<<(streak-1), max)].
+// backoff absorbs the streak-th consecutive transport error: it reports
+// the retry to OnTransientRetry, then sleeps a full-jitter exponential
+// delay, uniform in (0, min(base<<(streak-1), max)].
 func (c Campaign) backoff(ctx context.Context, streak int) {
+	if c.OnTransientRetry != nil {
+		c.OnTransientRetry()
+	}
 	delay := c.RetryBaseDelay
 	for i := 1; i < streak && delay < c.RetryMaxDelay; i++ {
 		delay <<= 1

@@ -57,27 +57,14 @@ func New(cfg config.GPU, bounds mem.Range, sheet *stats.Sheet) (*Machine, error)
 		return nil, err
 	}
 	n := cfg.NumChiplets
-	memory, err := mem.NewMemory(bounds.Lo, bounds.Size(), cfg.LineSize)
-	if err != nil {
-		return nil, err
-	}
-	pages, err := mem.NewPageTable(bounds.Lo, bounds.Size(), cfg.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	fabric, err := noc.New(n, cfg.FlitSize, sheet, cfg.GPUOf)
-	if err != nil {
-		return nil, err
-	}
 	m := &Machine{
-		Cfg:    cfg,
-		Sheet:  sheet,
-		Mem:    memory,
-		Pages:  pages,
-		Fabric: fabric,
-		L1:     make([][]*mem.Cache, n),
-		L2:     make([]*mem.Cache, n),
-		L3:     make([]*mem.Cache, n),
+		Cfg: cfg,
+		L1:  make([][]*mem.Cache, n),
+		L2:  make([]*mem.Cache, n),
+		L3:  make([]*mem.Cache, n),
+	}
+	if err := m.bind(bounds, sheet); err != nil {
+		return nil, err
 	}
 	m.l2BankBytes = make([]uint64, n)
 	m.l3BankBytes = make([]uint64, n)
@@ -102,6 +89,26 @@ func New(cfg config.GPU, bounds mem.Range, sheet *stats.Sheet) (*Machine, error)
 		}
 	}
 	return m, nil
+}
+
+// bind gives the machine the run-scoped state New and Acquire build afresh
+// for every run: a memory image and page table covering bounds, and a
+// fabric counting into sheet.
+func (m *Machine) bind(bounds mem.Range, sheet *stats.Sheet) error {
+	memory, err := mem.NewMemory(bounds.Lo, bounds.Size(), m.Cfg.LineSize)
+	if err != nil {
+		return err
+	}
+	pages, err := mem.NewPageTable(bounds.Lo, bounds.Size(), m.Cfg.PageSize)
+	if err != nil {
+		return err
+	}
+	fabric, err := noc.New(m.Cfg.NumChiplets, m.Cfg.FlitSize, sheet, m.Cfg.GPUOf)
+	if err != nil {
+		return err
+	}
+	m.Sheet, m.Mem, m.Pages, m.Fabric = sheet, memory, pages, fabric
+	return nil
 }
 
 // Home returns the home chiplet of line, first-touch placing its page on
@@ -344,6 +351,13 @@ func (m *Machine) Reset() {
 	m.Mem.Reset()
 	m.Pages.Reset()
 	m.Fabric.Reset()
+	m.resetCaches()
+}
+
+// resetCaches cools every cache (an O(1) epoch bump each) and zeroes the
+// per-bank service totals: the part of Reset a reused machine needs, since
+// Acquire replaces the memory image, page table and fabric outright.
+func (m *Machine) resetCaches() {
 	for i := range m.l2BankBytes {
 		m.l2BankBytes[i] = 0
 		m.l3BankBytes[i] = 0

@@ -1,11 +1,15 @@
 package machine
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func smallCfg() config.GPU {
@@ -173,6 +177,109 @@ func TestReset(t *testing.T) {
 	m.Reset()
 	if m.L2[1].ValidLines() != 0 || m.Mem.Latest(line) != 0 || m.Pages.HomeIfPlaced(line) != -1 {
 		t.Error("Reset incomplete")
+	}
+	t.Run("Acquire", testResetOnAcquire)
+}
+
+// testResetOnAcquire covers the reuse path: a released machine that ran
+// (dirty caches, bank and fabric byte totals, placed pages, a trace and a
+// fault injector) comes back from Acquire indistinguishable from New.
+func testResetOnAcquire(t *testing.T) {
+	Drain()
+	t.Cleanup(Drain)
+	var leases []bool
+	SetLeaseHook(func(_ *Machine, leased bool) { leases = append(leases, leased) })
+	t.Cleanup(func() { SetLeaseHook(nil) })
+	cfg := smallCfg()
+	bounds := mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 8<<20}
+	m := must(Acquire(cfg, bounds, stats.New()))
+	m.Trace = trace.New(0)
+	m.SetFaults(faults.NewInjector(faults.Config{AckDropRate: 0.5}, m.Sheet, nil))
+	line := mem.Addr(0x1000_0000)
+	m.Home(line, 1)
+	m.L1Fill(1, 2, line, m.Mem.Store(line))
+	m.L2[1].Fill(line, m.Mem.Latest(line), true)
+	m.BookL2(2, 64)
+	m.L3Write(line, m.Mem.Latest(line), 0, 1)
+	m.L3Read(line+0x100000, 3, 3)
+	oldPages := m.Pages
+	m.Release()
+
+	sheet := stats.New()
+	r := must(Acquire(cfg, bounds, sheet))
+	if r != m {
+		t.Fatal("Acquire built a new machine while an equal one was idle")
+	}
+	if r.Sheet != sheet || r.Trace != nil || r.Faults != nil {
+		t.Errorf("run-scoped state not cleared: sheet reused=%v trace=%v faults=%v", r.Sheet != sheet, r.Trace, r.Faults)
+	}
+	if r.Pages == oldPages || r.Pages.HomeIfPlaced(line) != -1 {
+		t.Error("page table recycled instead of rebuilt")
+	}
+	if oldPages.HomeIfPlaced(line) != 1 {
+		t.Error("released page table was mutated; observers holding it would see another run's placements")
+	}
+	if r.Mem.Latest(line) != 0 || r.Mem.Committed(line) != 0 {
+		t.Error("memory image not rebuilt")
+	}
+	for c := 0; c < cfg.NumChiplets; c++ {
+		if r.L2BankBytes(c) != 0 || r.L3BankBytes(c) != 0 {
+			t.Errorf("chiplet %d bank bytes survived reuse: L2 %d L3 %d", c, r.L2BankBytes(c), r.L3BankBytes(c))
+		}
+		if r.Fabric.PortBytes(c) != 0 || r.Fabric.DRAMBytes(c) != 0 {
+			t.Errorf("chiplet %d fabric bytes survived reuse: port %d DRAM %d", c, r.Fabric.PortBytes(c), r.Fabric.DRAMBytes(c))
+		}
+		if r.L2[c].ValidLines() != 0 || r.L3[c].ValidLines() != 0 {
+			t.Errorf("chiplet %d L2/L3 still warm", c)
+		}
+		for cu, l1 := range r.L1[c] {
+			if l1.ValidLines() != 0 {
+				t.Errorf("L1[%d][%d] still warm", c, cu)
+			}
+		}
+	}
+	if _, hit := r.L1Read(1, 2, line); hit {
+		t.Error("L1 hit on a line filled by the previous run")
+	}
+	if r.Fabric.InterGPUBytes() != 0 || sheet.Get(stats.L1Accesses) != 1 {
+		t.Error("fabric or sheet carried counts across runs")
+	}
+	r.Release()
+
+	other := cfg
+	other.L2SizeBytes *= 2
+	if o := must(Acquire(other, bounds, stats.New())); o == m {
+		t.Error("Acquire reused a machine built for a different configuration")
+	} else {
+		o.Release()
+	}
+	if fmt.Sprint(leases) != "[true false true false true false]" {
+		t.Errorf("lease hook saw %v, want three acquire/release pairs", leases)
+	}
+}
+
+// TestIdleListBound checks that Release keeps at most GOMAXPROCS idle
+// machines, dropping the oldest.
+func TestIdleListBound(t *testing.T) {
+	Drain()
+	t.Cleanup(Drain)
+	bounds := mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 1<<20}
+	limit := runtime.GOMAXPROCS(0)
+	var ms []*Machine
+	for i := 0; i <= limit; i++ {
+		ms = append(ms, must(Acquire(smallCfg(), bounds, stats.New())))
+	}
+	for _, m := range ms {
+		m.Release()
+	}
+	if len(idle.list) != limit {
+		t.Fatalf("idle list holds %d machines, want GOMAXPROCS=%d", len(idle.list), limit)
+	}
+	if idle.list[0] != ms[1] || idle.list[limit-1] != ms[limit] {
+		t.Error("Release did not drop the oldest idle machine")
+	}
+	if m := must(Acquire(smallCfg(), bounds, stats.New())); m != ms[limit] {
+		t.Error("Acquire did not take the most recently released machine")
 	}
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -246,6 +247,84 @@ func TestCacheNoSilentDirtyLoss(t *testing.T) {
 		if committed[line] < ver {
 			t.Fatalf("line %#x: newest dirty version %d never committed (have %d)",
 				line, ver, committed[line])
+		}
+	}
+}
+
+// TestCacheEpochWrap drives a cache's 16-bit epoch past 0xFFFF with
+// resident and dirty lines in the way array. InvalidateAll only bumps the
+// epoch, so ways written at epoch 1 stay in the array, stale, until the
+// epoch wraps back to 1; the wrap must really clear the array or they come
+// back valid. (A reused machine bumps every L1's epoch at each kernel
+// boundary, so a long-lived process reaches the wrap.) Afterwards the cache
+// must hit, miss, evict and flush exactly like a fresh one.
+func TestCacheEpochWrap(t *testing.T) {
+	const sets, assoc = 8, 2
+	newCache := func() *Cache { return must(NewCache("w", sets*assoc*64, assoc, 64)) }
+	c := newCache()
+	// Epoch 1: every way resident, every other line dirty.
+	for i := 0; i < sets*assoc; i++ {
+		c.Fill(Addr(i)*64, uint32(i+1), i%2 == 0)
+	}
+	// Later epochs touch only sets 0 and 1, leaving the epoch-1 ways of
+	// sets 2..7 in place through the wrap.
+	for c.epoch != ^uint16(0) {
+		if c.epoch%1024 == 0 {
+			c.Fill(Addr(c.epoch%4)*sets*64, uint32(c.epoch), true)
+			c.Fill(Addr(c.epoch%4)*sets*64+64, uint32(c.epoch), false)
+		}
+		c.InvalidateAll()
+	}
+	c.Fill(0, 7, true)
+	c.Fill(sets*64+64, 8, true)
+	if n := c.InvalidateAll(); n != 2 || c.epoch != 1 {
+		t.Fatalf("wrap: InvalidateAll = %d at epoch %d, want 2 at epoch 1", n, c.epoch)
+	}
+
+	fresh := newCache()
+	rnd := rand.New(rand.NewSource(11))
+	var gotFlush, wantFlush []Addr
+	for i := 0; i < 4000; i++ {
+		line := Addr(rnd.Intn(4*sets*assoc)) * 64
+		switch op := rnd.Intn(6); op {
+		case 0:
+			gv, gh := c.Read(line)
+			wv, wh := fresh.Read(line)
+			if gv != wv || gh != wh {
+				t.Fatalf("op %d: Read(%#x) = (%d, %v), fresh cache (%d, %v)", i, line, gv, gh, wv, wh)
+			}
+		case 1:
+			dirty := rnd.Intn(2) == 0
+			if g, w := c.Fill(line, uint32(i), dirty), fresh.Fill(line, uint32(i), dirty); g != w {
+				t.Fatalf("op %d: Fill(%#x) evicted %+v, fresh cache %+v", i, line, g, w)
+			}
+		case 2:
+			if g, w := c.Write(line, uint32(i)), fresh.Write(line, uint32(i)); g != w {
+				t.Fatalf("op %d: Write(%#x) = %v, fresh cache %v", i, line, g, w)
+			}
+		case 3:
+			gd, gp := c.Invalidate(line)
+			wd, wp := fresh.Invalidate(line)
+			if gd != wd || gp != wp {
+				t.Fatalf("op %d: Invalidate(%#x) = (%v, %v), fresh cache (%v, %v)", i, line, gd, gp, wd, wp)
+			}
+		case 4:
+			gotFlush, wantFlush = gotFlush[:0], wantFlush[:0]
+			c.FlushAll(func(l Addr, _ uint32) { gotFlush = append(gotFlush, l) })
+			fresh.FlushAll(func(l Addr, _ uint32) { wantFlush = append(wantFlush, l) })
+			if fmt.Sprint(gotFlush) != fmt.Sprint(wantFlush) {
+				t.Fatalf("op %d: FlushAll wrote back %v, fresh cache %v", i, gotFlush, wantFlush)
+			}
+		case 5:
+			if rnd.Intn(8) == 0 {
+				if g, w := c.InvalidateAll(), fresh.InvalidateAll(); g != w {
+					t.Fatalf("op %d: InvalidateAll = %d, fresh cache %d", i, g, w)
+				}
+			}
+		}
+		if c.ValidLines() != fresh.ValidLines() || c.DirtyLines() != fresh.DirtyLines() {
+			t.Fatalf("op %d: valid/dirty %d/%d, fresh cache %d/%d",
+				i, c.ValidLines(), c.DirtyLines(), fresh.ValidLines(), fresh.DirtyLines())
 		}
 	}
 }
