@@ -17,9 +17,7 @@
 // deterministic outputs, identical on every machine — CI gates on the
 // machine-independent set (allocs, cycles, accesses) against the committed
 // baseline, while ns_per_op tracks the local trajectory and powers the
-// planted-slowdown self-test. The emitted phases section is the phase
-// profiler's attribution for one representative run, answering "where would
-// optimization effort go" next to every baseline.
+// planted-slowdown self-test.
 package main
 
 import (
@@ -69,11 +67,9 @@ type benchResult struct {
 
 // benchFile is the results-file schema.
 type benchFile struct {
-	Schema     string                 `json:"schema"`
-	GoVersion  string                 `json:"go_version"`
-	Benchmarks []benchResult          `json:"benchmarks"`
-	Phases     []cpelide.PhaseSamples `json:"phases,omitempty"`
-	PhaseNote  string                 `json:"phase_note,omitempty"`
+	Schema     string        `json:"schema"`
+	GoVersion  string        `json:"go_version"`
+	Benchmarks []benchResult `json:"benchmarks"`
 }
 
 const schemaV1 = "cpelide-bench/v1"
@@ -173,7 +169,7 @@ func load(path string) (*benchFile, error) {
 	return &f, nil
 }
 
-// measure runs the matrix and one profiled representative run.
+// measure runs the matrix.
 func measure() *benchFile {
 	out := &benchFile{Schema: schemaV1, GoVersion: runtime.Version()}
 	for _, c := range matrix {
@@ -183,7 +179,7 @@ func measure() *benchFile {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var err error
-				rep, err = runOne(c, nil)
+				rep, err = runOne(c)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -202,32 +198,17 @@ func measure() *benchFile {
 		})
 		log.Printf("%-24s %12.0f ns/op %10d allocs/op %14d cycles", name, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp(), rep.Cycles)
 	}
-
-	// Phase attribution for one representative configuration: where the
-	// simulator's host time actually goes, committed alongside the numbers it
-	// explains. Sample fast (50µs) so even a short run is attributed.
-	pc := matrix[1] // square/cpelide
-	prof := cpelide.NewPhaseProfiler(50_000)
-	rep, err := runOne(pc, prof)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if rep.Profile != nil {
-		out.Phases = rep.Profile.Phases
-		out.PhaseNote = fmt.Sprintf("%s/%s, sample counts are wall-clock and not gated",
-			pc.Workload, strings.ToLower(pc.Protocol.String()))
-	}
 	return out
 }
 
-func runOne(c benchCase, prof *cpelide.PhaseProfiler) (*cpelide.Report, error) {
+func runOne(c benchCase) (*cpelide.Report, error) {
 	cfg := cpelide.DefaultConfig(4)
 	alloc := cpelide.NewAllocator(cfg.PageSize)
 	w, err := workloads.Build(c.Workload, alloc, workloads.Params{Scale: c.Scale})
 	if err != nil {
 		return nil, err
 	}
-	return cpelide.Run(cfg, w, cpelide.Options{Protocol: c.Protocol, Profiler: prof})
+	return cpelide.Run(cfg, w, cpelide.Options{Protocol: c.Protocol})
 }
 
 // gate compares the under-test results to the baseline and returns one

@@ -53,7 +53,6 @@ type runJSON struct {
 	Sheet       *cpelide.Sheet         `json:"sheet"`
 	PerKernel   []cpelide.KernelStats  `json:"per_kernel,omitempty"`
 	Faults      *cpelide.FaultCounters `json:"faults,omitempty"`
-	Profile     *cpelide.PhaseProfile  `json:"profile,omitempty"`
 }
 
 func main() {
@@ -74,7 +73,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the full comparison as JSON on stdout instead of the text table")
 		faultSpec  = flag.String("faults", "", "fault-injection spec, e.g. drop=0.1,delay=0.05,link=0.01,parity=0.002 (see package faults)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
-		profile    = flag.Bool("profile", false, "sample host wall-time per simulator phase; table goes to stderr (stdout stays byte-identical), -json adds a profile field")
 	)
 	flag.Parse()
 
@@ -143,9 +141,6 @@ func main() {
 				rec = cpelide.NewTrace(*traceLimit)
 				opt.Trace = rec
 			}
-			if *profile {
-				opt.Profiler = cpelide.NewPhaseProfiler(0)
-			}
 			rep, err := cpelide.Run(cfg, w, opt)
 			if err != nil {
 				log.Fatal(err)
@@ -179,7 +174,6 @@ func main() {
 					Sheet:       rep.Sheet,
 					PerKernel:   rep.PerKernel,
 					Faults:      rep.Faults,
-					Profile:     rep.Profile,
 				})
 			} else {
 				fmt.Printf("%-16s %10s %14d %9.3fx %9.3f %12d %8d\n",
@@ -198,11 +192,6 @@ func main() {
 				if *perKernel {
 					printPerKernel(rep)
 				}
-			}
-			if rep.Profile != nil {
-				// Wall-clock data goes to stderr so stdout stays
-				// byte-identical across repeated runs.
-				fmt.Fprintf(os.Stderr, "%s/%s %s", name, rep.Protocol, rep.Profile)
 			}
 			if rec != nil {
 				out := *tracePath

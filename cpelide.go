@@ -30,7 +30,6 @@ package cpelide
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/coherence"
 	"repro/internal/config"
@@ -45,7 +44,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/oracle"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -89,21 +87,7 @@ type (
 	OracleSummary = oracle.Summary
 	// OracleViolation is one detected memory-model violation.
 	OracleViolation = oracle.Violation
-	// PhaseProfiler samples host wall-time attribution per simulator phase;
-	// see Options.Profiler and NewPhaseProfiler.
-	PhaseProfiler = metrics.PhaseProfiler
-	// PhaseProfile is a finished wall-time attribution.
-	PhaseProfile = metrics.PhaseProfile
-	// PhaseSamples is one phase's share of a PhaseProfile.
-	PhaseSamples = metrics.PhaseSamples
 )
-
-// NewPhaseProfiler returns a phase profiler to pass in Options.Profiler.
-// intervalNS is the sampling period in nanoseconds (<= 0 selects the
-// default, 500µs). Profilers are single-use: one profiler per run.
-func NewPhaseProfiler(intervalNS int64) *PhaseProfiler {
-	return metrics.NewPhaseProfiler(time.Duration(intervalNS))
-}
 
 // ParseFaultSpec parses a comma-separated fault specification (the
 // cpelide-sim -faults syntax, e.g. "drop=0.1,parity=0.01") into a
@@ -308,13 +292,8 @@ type Options struct {
 	// runtime staleness checker. MutateNone for real runs.
 	Mutate Mutation
 
-	// Profiler, when non-nil, samples host wall-time attribution per
-	// simulator phase (calendar, CP, CCT, sync, kernel, NoC) during the run;
-	// the result lands in Report.Profile. Profiling is observational only —
-	// phase marks are atomic stores the simulation never reads back — and
-	// wall-clock values are excluded from every determinism comparison.
-	// Profilers are single-use: pass a fresh NewPhaseProfiler per run.
-	Profiler *PhaseProfiler
+	// Deprecated: ignored; there is no phase profiler.
+	Profiler any
 
 	// Deprecated: ignored; there is one calendar.
 	Calendar event.CalendarKind
@@ -422,11 +401,6 @@ type Report struct {
 	// Oracle is the consistency oracle's digest when Options.Oracle was
 	// attached (nil otherwise).
 	Oracle *OracleSummary `json:",omitempty"`
-
-	// Profile is the host wall-time phase attribution when Options.Profiler
-	// was attached (nil otherwise). Wall-clock data: two otherwise identical
-	// runs differ here, which is why determinism comparisons strip it.
-	Profile *PhaseProfile `json:",omitempty"`
 }
 
 // CheckConsistency is the runtime consistency checker's verdict: it returns
@@ -586,13 +560,6 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 
 	x := gpu.New(m, proto, seed)
 	x.Sched = opt.Scheduler
-	if opt.Profiler != nil {
-		// Guarded assignment: a typed-nil *PhaseProfiler must not become a
-		// non-nil event.Profiler interface in the executor.
-		x.Prof = opt.Profiler
-		opt.Profiler.Start()
-		defer opt.Profiler.Stop()
-	}
 	if opt.Oracle != nil {
 		if opt.NoRangeInfo {
 			return nil, fmt.Errorf("cpelide: the oracle requires range-precise annotations (NoRangeInfo declares whole-structure writes on every chiplet, making the last writer ambiguous)")
@@ -636,10 +603,6 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 	rep.ImageHash = m.Mem.ImageHash()
 	if opt.Oracle != nil {
 		rep.Oracle = opt.Oracle.Summary()
-	}
-	if opt.Profiler != nil {
-		opt.Profiler.Stop() // idempotent with the deferred Stop
-		rep.Profile = opt.Profiler.Profile()
 	}
 	if injector != nil {
 		c := injector.Counters()

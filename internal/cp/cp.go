@@ -155,9 +155,6 @@ func NewRunner(x *gpu.Executor, specs []StreamSpec, rc RunnerConfig) (*Runner, e
 		rec.SetNow(uint64(t))
 		m.Faults.SetNow(uint64(t))
 	}
-	// The engine and the executor share the executor's profiler so calendar
-	// time, CP dispatch, and kernel execution are attributed separately.
-	r.Eng.Prof = x.Prof
 	return r, nil
 }
 
@@ -321,10 +318,6 @@ func (r *Runner) ctxDone() bool {
 // dispatch issues every stream whose head kernel is ready at the current
 // time, then relies on completion events to re-trigger.
 func (r *Runner) dispatch(event.Event) {
-	if p := r.Eng.Prof; p != nil {
-		prev := p.SetPhase(event.PhaseCP)
-		defer p.SetPhase(prev)
-	}
 	now := r.Eng.Now()
 	if r.ctxDone() {
 		r.cancelRun()

@@ -64,12 +64,6 @@ type Engine struct {
 	// before each event's handler runs. The trace recorder uses it as its
 	// clock source; observers must not schedule or deliver events.
 	OnDeliver func(Time)
-
-	// Prof, when non-nil, receives phase marks around the dispatch loop:
-	// PhaseCalendar while the engine pops and bookkeeps, whatever phases the
-	// handlers mark while they run, and the caller's phase restored when Run
-	// returns. Purely observational — the engine never reads time from it.
-	Prof Profiler
 }
 
 // New returns an Engine with the clock at zero.
@@ -119,10 +113,6 @@ func (e *Engine) Stop() { e.stopped = true }
 // called, and returns the final clock value.
 func (e *Engine) Run() Time {
 	e.stopped = false
-	if e.Prof != nil {
-		prev := e.Prof.SetPhase(PhaseCalendar)
-		defer e.Prof.SetPhase(prev)
-	}
 	for len(e.queue) > 0 && !e.stopped {
 		ev := e.queue[0]
 		n := copy(e.queue, e.queue[1:])
@@ -133,11 +123,6 @@ func (e *Engine) Run() Time {
 			e.OnDeliver(e.now)
 		}
 		ev.Handler.Handle(ev)
-		if e.Prof != nil {
-			// Handlers may have marked their own phases; the loop is back in
-			// calendar bookkeeping until the next delivery.
-			e.Prof.SetPhase(PhaseCalendar)
-		}
 	}
 	return e.now
 }

@@ -490,8 +490,7 @@ func (f *Farm) execute(ctx context.Context, j Job) (rep *cpelide.Report, err err
 		return nil, err
 	}
 	opt := j.Options
-	opt.Trace = nil    // see Job.Options: per-run tracing cannot cross the cache
-	opt.Profiler = nil // wall-clock attribution cannot cross the cache either
+	opt.Trace = nil // see Job.Options: per-run tracing cannot cross the cache
 	alloc := cpelide.NewAllocator(j.Config.PageSize)
 	specs := make([]cpelide.StreamSpec, 0, len(ss))
 	for _, s := range ss {

@@ -180,7 +180,7 @@ func TestOptionsKeyCoversOptions(t *testing.T) {
 	irrelevant := map[string]bool{
 		"Trace":    true, // observational only; cached Reports are shared
 		"Oracle":   true, // observer pointer, single-use; callers read it directly
-		"Profiler": true, // wall-clock attribution, nulled before execution
+		"Profiler": true, // deprecated and ignored
 		"Calendar": true, // deprecated and ignored: the engine has one calendar
 	}
 	opt := reflect.TypeOf(cpelide.Options{})

@@ -17,7 +17,6 @@ package gpu
 
 import (
 	"repro/internal/coherence"
-	"repro/internal/event"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/stats"
@@ -31,12 +30,6 @@ type Executor struct {
 
 	// Sched selects the local CPs' WG-to-CU assignment policy.
 	Sched kernels.CUSchedule
-
-	// Prof, when non-nil, receives phase marks around plan construction
-	// (PhaseCCT), plan execution (PhaseSync), access-stream generation
-	// (PhaseKernel), and the per-access memory-system walk (PhaseNoC).
-	// Observational only; nil costs one pointer test per kernel.
-	Prof event.Profiler
 
 	// Obs, when non-nil, observes every launch boundary and the finalize
 	// boundary with the synchronization plan the executor is about to run.
@@ -214,18 +207,11 @@ func (x *Executor) RunKernel(l *coherence.Launch, exposeCP bool) KernelResult {
 		m.InvalidateL1s(c)
 	}
 
-	if x.Prof != nil {
-		prev := x.Prof.SetPhase(event.PhaseCCT)
-		defer x.Prof.SetPhase(prev)
-	}
 	plan := x.P.PreLaunch(l)
 	if x.Obs != nil {
 		x.Obs.OnLaunch(l, plan)
 	}
 	var res KernelResult
-	if x.Prof != nil {
-		x.Prof.SetPhase(event.PhaseSync)
-	}
 	res.SyncCycles = x.ExecutePlan(plan)
 	if exposeCP {
 		res.CPCycles = uint64(plan.CPCycles)
@@ -254,25 +240,12 @@ func (x *Executor) RunKernel(l *coherence.Launch, exposeCP bool) KernelResult {
 		l2miss0 := m.Sheet.Get(stats.L2Misses)
 		l2l3f0 := m.Sheet.Get(stats.FlitsL2L3)
 
-		chiplet := c
 		access := func(a kernels.Access) {
-			r := x.P.Access(chiplet, a.CU, a.Line, a.Write, a.Atomic)
+			r := x.P.Access(c, a.CU, a.Line, a.Write, a.Atomic)
 			x.latency[a.CU] += uint64(r.Cycles)
 			res.Accesses++
 		}
-		cb := access
-		if x.Prof != nil {
-			// Profiled variant: charge the protocol's memory-system walk to
-			// PhaseNoC and the generator itself to PhaseKernel. Built only
-			// when profiling, so the unprofiled hot path pays nothing.
-			x.Prof.SetPhase(event.PhaseKernel)
-			cb = func(a kernels.Access) {
-				x.Prof.SetPhase(event.PhaseNoC)
-				access(a)
-				x.Prof.SetPhase(event.PhaseKernel)
-			}
-		}
-		kernels.GenerateScheduled(k, l.Inst, x.Seed, slot, nparts, cus, cfg.LineSize, x.Sched, cb)
+		kernels.GenerateScheduled(k, l.Inst, x.Seed, slot, nparts, cus, cfg.LineSize, x.Sched, access)
 
 		// Compute per CU: WGs round-robin over CUs.
 		wgLo, wgHi := kernels.Partition(k.WGs, nparts, slot)
@@ -377,16 +350,9 @@ func totalDRAM(m *machine.Machine) uint64 {
 // Finalize runs the protocol's end-of-program releases and returns the
 // exposed cycles.
 func (x *Executor) Finalize() uint64 {
-	if x.Prof != nil {
-		prev := x.Prof.SetPhase(event.PhaseCCT)
-		defer x.Prof.SetPhase(prev)
-	}
 	plan := x.P.Finalize()
 	if x.Obs != nil {
 		x.Obs.OnFinalize(plan)
-	}
-	if x.Prof != nil {
-		x.Prof.SetPhase(event.PhaseSync)
 	}
 	cy := x.ExecutePlan(plan)
 	x.M.Sheet.Set(stats.StaleReads, x.M.Mem.StaleReads())

@@ -55,6 +55,14 @@ func TestErrorSchema(t *testing.T) {
 		{"unknown job result", "GET", "/v1/jobs/" + strings.Repeat("0", 64) + "/result", "", http.StatusNotFound, ErrCodeNotFound},
 		{"unknown figure", "GET", "/v1/figures/fig99", "", http.StatusNotFound, ErrCodeNotFound},
 		{"bad figure param", "GET", "/v1/figures/fig2?scale=potato", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{"NaN figure scale", "GET", "/v1/figures/fig2?scale=NaN&workloads=square", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{"infinite figure scale", "GET", "/v1/figures/fig2?scale=Inf", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{"negative figure scale", "GET", "/v1/figures/fig2?scale=-1", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{"zero figure chiplets", "GET", "/v1/figures/fig8?chiplets=0", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{"negative figure chiplets", "GET", "/v1/figures/fig8?chiplets=-3", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{"unknown figure workload", "GET", "/v1/figures/fig2?workloads=nosuch", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{"negative job scale", "POST", "/v1/jobs", `{"workload":"square","scale":-1}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"negative job chiplets", "POST", "/v1/jobs", `{"workload":"square","chiplets":-2}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"unrouted path", "GET", "/v2/nothing/here", "", http.StatusNotFound, ErrCodeNotFound},
 	}
 	for _, tc := range cases {

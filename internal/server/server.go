@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/farm"
 	"repro/internal/metrics"
+	"repro/internal/workloads"
 )
 
 // JobRequest is the POST /v1/jobs body. Either workload (single stream
@@ -78,6 +80,15 @@ func parseProtocol(s string) (cpelide.Protocol, error) {
 	return 0, fmt.Errorf("unknown protocol %q", s)
 }
 
+// checkScale rejects a footprint scale no workload can be built at; 0
+// still selects the default.
+func checkScale(f float64) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+		return fmt.Errorf("bad scale %v: want a finite number >= 0", f)
+	}
+	return nil
+}
+
 // Job converts the request into a farm job. The cluster coordinator uses
 // it to compute a submission's content hash for routing without running
 // anything.
@@ -85,6 +96,12 @@ func (r JobRequest) Job() (farm.Job, error) {
 	proto, err := parseProtocol(r.Protocol)
 	if err != nil {
 		return farm.Job{}, err
+	}
+	if err := checkScale(r.Scale); err != nil {
+		return farm.Job{}, err
+	}
+	if r.Chiplets < 0 {
+		return farm.Job{}, fmt.Errorf("bad chiplets %d: want >= 1", r.Chiplets)
 	}
 	chiplets := r.Chiplets
 	if chiplets == 0 {
@@ -452,6 +469,9 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if v := q.Get("scale"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
+		if err == nil {
+			err = checkScale(f)
+		}
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad scale %q", v)
 			return
@@ -468,13 +488,19 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("workloads"); v != "" {
 		p.Workloads = strings.Split(v, ",")
+		for _, name := range p.Workloads {
+			if _, ok := workloads.Get(name); !ok {
+				writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "unknown workload %q", name)
+				return
+			}
+		}
 	}
 
 	if name == "fig8" {
 		n := 4
 		if v := q.Get("chiplets"); v != "" {
 			var err error
-			if n, err = strconv.Atoi(v); err != nil {
+			if n, err = strconv.Atoi(v); err != nil || n < 1 {
 				writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad chiplets %q", v)
 				return
 			}
