@@ -51,8 +51,8 @@ type Options struct {
 	// dead (default 2).
 	FailThreshold int
 	// ProxyTimeout bounds each proxied request (default 30s). Simulations
-	// run asynchronously on the worker, so this only covers the HTTP
-	// round-trip, not job execution.
+	// run asynchronously on the worker, so this covers the HTTP round-trip
+	// plus a worker's result hold (at most 1s), not job execution.
 	ProxyTimeout time.Duration
 	// Metrics, when non-nil, receives the cluster series. Nil disables.
 	Metrics *metrics.Registry

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"repro"
+	"repro/internal/farm"
 	"repro/internal/metrics"
 	"repro/internal/server"
 )
@@ -264,6 +266,11 @@ func TestWorkerDeathReroutes(t *testing.T) {
 			}
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
+			if resp.StatusCode == http.StatusAccepted {
+				if ra := resp.Header.Get("Retry-After"); ra != server.PendingRetryAfter {
+					t.Fatalf("replayed job's 202 Retry-After = %q, want %q", ra, server.PendingRetryAfter)
+				}
+			}
 			if resp.StatusCode == http.StatusOK {
 				if bytes.Contains(body, []byte(victim.name)) {
 					t.Fatalf("job %s still served by dead worker %s", id, victim.name)
@@ -324,6 +331,91 @@ func TestDeregisterMovesJobs(t *testing.T) {
 	}
 	if got := w2.count(); got != jobs {
 		t.Fatalf("after deregister w2 holds %d jobs, want all %d", got, jobs)
+	}
+}
+
+// parkedStore is a farm.Store whose lookups wait on gate and then serve rep,
+// so a test decides when a worker's job stops running.
+type parkedStore struct {
+	gate chan struct{}
+	rep  *cpelide.Report
+}
+
+func (p parkedStore) Get(string) (*cpelide.Report, bool, error) {
+	<-p.gate
+	return p.rep, true, nil
+}
+
+func (p parkedStore) Put(string, *cpelide.Report) error { return nil }
+
+// TestResultHeldThroughCoordinator: a result GET for a running job, sent
+// through the coordinator, is held on the worker and comes back 200 in one
+// request once the job finishes.
+func TestResultHeldThroughCoordinator(t *testing.T) {
+	c, ts := testCoordinator(t, nil)
+	store := parkedStore{gate: make(chan struct{}), rep: &cpelide.Report{Workload: "square", Cycles: 42}}
+	eng := farm.New(farm.Options{Workers: 1, Store: store})
+	t.Cleanup(eng.Close)
+	s := server.New(eng, 4)
+	wts := httptest.NewServer(s.Handler())
+	t.Cleanup(wts.Close)
+	var openOnce sync.Once
+	open := func() { openOnce.Do(func() { close(store.gate) }) }
+	t.Cleanup(func() { open(); s.Drain() })
+	if err := c.Register(Worker{Name: "w1", URL: wts.URL}); err != nil {
+		t.Fatal(err)
+	}
+
+	id, code := submitJob(t, ts.URL, 0)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var st server.StatusResponse
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if st.Status == "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started running (status %q)", st.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	type answer struct {
+		code int
+		body []byte
+		err  error
+	}
+	res := make(chan answer, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			res <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		res <- answer{resp.StatusCode, b, err}
+	}()
+	select {
+	case a := <-res:
+		t.Fatalf("result answered %d while the job was running", a.code)
+	case <-time.After(100 * time.Millisecond):
+	}
+	open()
+	a := <-res
+	if a.err != nil || a.code != http.StatusOK {
+		t.Fatalf("held result through the coordinator: %d %s (%v), want 200", a.code, a.body, a.err)
+	}
+	if !bytes.Contains(a.body, []byte(`"Cycles": 42`)) {
+		t.Fatalf("result body %s is not the worker's report", a.body)
 	}
 }
 

@@ -159,7 +159,9 @@ func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // replayTracked re-places a tracked job whose owner no longer remembers it
-// and answers 202 so the client keeps polling.
+// and answers 202 so the client keeps polling. The hint is the worker's own
+// pending-result one: the next poll reaches the new owner, which holds it
+// until the job finishes.
 func (c *Coordinator) replayTracked(w http.ResponseWriter, r *http.Request, tj *trackedJob) {
 	resp, err := c.place(r.Context(), tj)
 	if err != nil {
@@ -169,7 +171,7 @@ func (c *Coordinator) replayTracked(w http.ResponseWriter, r *http.Request, tj *
 	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
 	resp.Body.Close()
 	c.reroutes.Inc()
-	w.Header().Set("Retry-After", "1")
+	w.Header().Set("Retry-After", server.PendingRetryAfter)
 	server.WriteJSON(w, http.StatusAccepted, server.StatusResponse{ID: tj.id, Status: "queued"})
 }
 

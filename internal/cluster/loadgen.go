@@ -80,7 +80,8 @@ type Campaign struct {
 	// Seed makes the submission schedule reproducible.
 	Seed int64
 	// PollInterval paces status polls when the server sends no Retry-After
-	// (default 25ms).
+	// or Retry-After: 0, as a pending result does after its hold (default
+	// 25ms).
 	PollInterval time.Duration
 	// JobTimeout bounds one job's submit-to-result wait (default 120s);
 	// a job that exceeds it counts as lost.

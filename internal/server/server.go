@@ -136,10 +136,22 @@ func (r JobRequest) Job() (farm.Job, error) {
 	return j, nil
 }
 
+// resultHold bounds how long GET /v1/jobs/{id}/result waits for a pending
+// job before answering 202: no request waits longer than the 1 s a client
+// sleeps on a 429, and a parked handler returns within it whatever the
+// client's own deadline.
+const resultHold = time.Second
+
+// PendingRetryAfter is the Retry-After value on a 202 for a pending job.
+// The result endpoint has already held the request, so a client may come
+// straight back; the coordinator sends the same hint for a replayed job.
+const PendingRetryAfter = "0"
+
 // serverJob tracks one accepted submission through the farm.
 type serverJob struct {
-	id  string
-	job farm.Job
+	id   string
+	job  farm.Job
+	done chan struct{} // closed on the first transition to done or error
 
 	mu     sync.Mutex
 	status string // queued | running | done | error
@@ -149,8 +161,12 @@ type serverJob struct {
 
 func (s *serverJob) set(status string, rep *cpelide.Report, errMsg string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	wasTerminal := s.status == "done" || s.status == "error"
 	s.status, s.rep, s.errMsg = status, rep, errMsg
-	s.mu.Unlock()
+	if !wasTerminal && (status == "done" || status == "error") {
+		close(s.done)
+	}
 }
 
 func (s *serverJob) snapshot() (status string, rep *cpelide.Report, errMsg string) {
@@ -409,7 +425,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeDraining, "server is draining")
 		return
 	}
-	sj := &serverJob{id: id, job: job, status: "queued"}
+	sj := &serverJob{id: id, job: job, status: "queued", done: make(chan struct{})}
 	select {
 	case s.queue <- sj:
 		s.jobs[id] = sj
@@ -441,6 +457,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: status, Error: errMsg})
 }
 
+// handleResult answers with the report (200) or the failure (500). On a
+// queued or running job it first holds the request until the job finishes,
+// the client goes away, or resultHold passes; a job still pending then gets
+// 202 with Retry-After: 0, since the hold already spent the wait.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sj, ok := s.lookup(id)
@@ -448,6 +468,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown job %q", id)
 		return
 	}
+	hold := time.NewTimer(resultHold)
+	select {
+	case <-sj.done: // already closed for a terminal job
+	case <-r.Context().Done():
+	case <-hold.C:
+	}
+	hold.Stop()
 	status, rep, errMsg := sj.snapshot()
 	switch status {
 	case "done":
@@ -455,7 +482,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	case "error":
 		writeErr(w, http.StatusInternalServerError, ErrCodeJobFailed, "job failed: %s", errMsg)
 	default:
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", PendingRetryAfter)
 		writeJSON(w, http.StatusAccepted, StatusResponse{ID: id, Status: status})
 	}
 }

@@ -2,14 +2,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/farm"
 )
 
@@ -181,8 +186,7 @@ func TestBurstBackpressureAndDrain(t *testing.T) {
 
 // TestBackpressureRetryAfter pins the 429 contract: a shed submission
 // carries a Retry-After hint so well-behaved clients back off instead of
-// hammering a saturated server, and a queued job's result poll carries the
-// same hint on its 202.
+// hammering a saturated server.
 func TestBackpressureRetryAfter(t *testing.T) {
 	eng := farm.New(farm.Options{Workers: 1})
 	defer eng.Close()
@@ -220,7 +224,7 @@ func TestBackpressureRetryAfter(t *testing.T) {
 	}
 
 	// Fill the 1-slot queue, then overflow it.
-	code, queued := post(t, ts, `{"workload": "square", "scale": 0.05, "iters": 1}`)
+	code, _ = post(t, ts, `{"workload": "square", "scale": 0.05, "iters": 1}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("queue-filling submit: got %d, want 202", code)
 	}
@@ -239,19 +243,222 @@ func TestBackpressureRetryAfter(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
 		t.Fatalf("429 body should explain the shed (%q, %v)", body.Error, err)
 	}
+}
 
-	// A not-yet-terminal job's result poll also hints when to come back.
-	rr, err := http.Get(ts.URL + "/v1/jobs/" + queued.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
+// gateStore is a farm.Store whose lookups park until open is called, so a
+// test decides when a job stops running. Afterwards every lookup returns
+// rep; a nil rep misses, and the farm then simulates the job itself.
+type gateStore struct {
+	gate chan struct{}
+	once sync.Once
+	rep  *cpelide.Report
+}
+
+func (g *gateStore) Get(string) (*cpelide.Report, bool, error) {
+	<-g.gate
+	return g.rep, g.rep != nil, nil
+}
+
+func (g *gateStore) Put(string, *cpelide.Report) error { return nil }
+
+func (g *gateStore) open() { g.once.Do(func() { close(g.gate) }) }
+
+// heldStack is a 1-worker server whose farm consults a gateStore, with a
+// channel that records a result handler's return. Cleanup opens the
+// gate before draining, so no job is left parked.
+func heldStack(t *testing.T, rep *cpelide.Report) (*Server, *httptest.Server, *gateStore, <-chan struct{}) {
+	t.Helper()
+	g := &gateStore{gate: make(chan struct{}), rep: rep}
+	eng := farm.New(farm.Options{Workers: 1, Store: g})
+	t.Cleanup(eng.Close)
+	s := New(eng, 4)
+	h := s.Handler()
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/result") {
+			select {
+			case returned <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { g.open(); s.Drain() })
+	return s, ts, g, returned
+}
+
+// waitStatus polls the status endpoint, which never holds, until the job
+// reports want.
+func waitStatus(t *testing.T, ts *httptest.Server, id, want string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var st StatusResponse
+		get(t, ts, "/v1/jobs/"+id, &st)
+		if st.Status == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s: status %q, want %q", id, st.Status, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	defer rr.Body.Close()
-	if rr.StatusCode != http.StatusAccepted {
-		t.Fatalf("queued result poll: got %d, want 202", rr.StatusCode)
-	}
-	if ra := rr.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("202 Retry-After = %q, want %q", ra, "1")
-	}
+}
+
+// fetch is one result GET, delivered on the returned channel.
+type fetch struct {
+	code       int
+	retryAfter string
+	body       []byte
+	at         time.Time
+}
+
+func fetchResult(ctx context.Context, client *http.Client, ts *httptest.Server, id string) <-chan fetch {
+	out := make(chan fetch, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/result", nil)
+		if err != nil {
+			out <- fetch{}
+			return
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			out <- fetch{at: time.Now()}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		out <- fetch{resp.StatusCode, resp.Header.Get("Retry-After"), b, time.Now()}
+	}()
+	return out
+}
+
+// TestResultHeldUntilTerminal pins the result endpoint's hold: a GET on a
+// pending job waits for it server-side instead of answering 202 at once.
+func TestResultHeldUntilTerminal(t *testing.T) {
+	canned := &cpelide.Report{Workload: "square", Protocol: "CPElide", Cycles: 42}
+
+	t.Run("queued job answers once it finishes", func(t *testing.T) {
+		_, ts, g, _ := heldStack(t, canned)
+		_, running := post(t, ts, `{"workload": "square", "scale": 0.05}`)
+		waitStatus(t, ts, running.ID, "running")
+		_, queued := post(t, ts, `{"workload": "square", "scale": 0.05, "iters": 1}`)
+		waitStatus(t, ts, queued.ID, "queued")
+
+		// Several clients hold on the same job; one transition wakes all.
+		const clients = 4
+		var res [clients]<-chan fetch
+		for i := range res {
+			res[i] = fetchResult(context.Background(), http.DefaultClient, ts, queued.ID)
+		}
+		time.Sleep(100 * time.Millisecond)
+		for i := range res {
+			select {
+			case f := <-res[i]:
+				t.Fatalf("client %d: result answered %d while its job was still queued", i, f.code)
+			default:
+			}
+		}
+		g.open()
+		for i := range res {
+			f := <-res[i]
+			if f.code != http.StatusOK {
+				t.Fatalf("client %d: held result got %d (%s), want 200", i, f.code, f.body)
+			}
+			var rep struct{ Workload string }
+			if err := json.Unmarshal(f.body, &rep); err != nil || rep.Workload != "square" {
+				t.Fatalf("client %d: held result body %s (%v), want the report", i, f.body, err)
+			}
+		}
+	})
+
+	t.Run("hold runs out with 202 and Retry-After 0", func(t *testing.T) {
+		_, ts, _, _ := heldStack(t, canned)
+		_, sr := post(t, ts, `{"workload": "square", "scale": 0.05}`)
+		waitStatus(t, ts, sr.ID, "running")
+
+		start := time.Now()
+		f := <-fetchResult(context.Background(), http.DefaultClient, ts, sr.ID)
+		if f.code != http.StatusAccepted {
+			t.Fatalf("pending result: got %d (%s), want 202", f.code, f.body)
+		}
+		if f.retryAfter != "0" {
+			t.Fatalf("202 Retry-After = %q, want %q", f.retryAfter, "0")
+		}
+		if waited := f.at.Sub(start); waited < resultHold {
+			t.Fatalf("202 after %v, want no earlier than the %v hold", waited, resultHold)
+		}
+		var st StatusResponse
+		if err := json.Unmarshal(f.body, &st); err != nil || st.Status != "running" {
+			t.Fatalf("202 body %s (%v), want status running", f.body, err)
+		}
+	})
+
+	t.Run("failed job wakes the hold with 500", func(t *testing.T) {
+		_, ts, g, _ := heldStack(t, nil)
+		_, sr := post(t, ts, `{"workload": "nope"}`)
+		waitStatus(t, ts, sr.ID, "running")
+
+		start := time.Now()
+		res := fetchResult(context.Background(), http.DefaultClient, ts, sr.ID)
+		time.Sleep(50 * time.Millisecond)
+		g.open()
+		f := <-res
+		if f.code != http.StatusInternalServerError {
+			t.Fatalf("failed job result: got %d (%s), want 500", f.code, f.body)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(f.body, &e); err != nil || e.Code != ErrCodeJobFailed {
+			t.Fatalf("failed job body %s (%v), want code %s", f.body, err, ErrCodeJobFailed)
+		}
+		if waited := f.at.Sub(start); waited >= resultHold {
+			t.Fatalf("failure answered after %v: the hold ran out instead of waking", waited)
+		}
+	})
+
+	t.Run("client cancel releases the handler", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		s, ts, g, returned := heldStack(t, canned)
+		client := &http.Client{Transport: &http.Transport{}}
+		_, sr := post(t, ts, `{"workload": "square", "scale": 0.05}`)
+		waitStatus(t, ts, sr.ID, "running")
+
+		ctx, cancel := context.WithCancel(context.Background())
+		start := time.Now()
+		res := fetchResult(ctx, client, ts, sr.ID)
+		time.Sleep(50 * time.Millisecond)
+		cancel()
+		<-res
+		select {
+		case <-returned:
+		case <-time.After(resultHold / 2):
+			t.Fatal("result handler still held after its client went away")
+		}
+		if waited := time.Since(start); waited >= resultHold {
+			t.Fatalf("handler released after %v, not by the cancel", waited)
+		}
+
+		g.open()
+		drained := make(chan struct{})
+		go func() { s.Drain(); close(drained) }()
+		select {
+		case <-drained:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Drain did not return")
+		}
+		s.farm.Close()
+		ts.Close()
+		client.CloseIdleConnections()
+		http.DefaultClient.CloseIdleConnections()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines left, started with %d", runtime.NumGoroutine(), before)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
 
 // TestSubmitFaultSpec checks the HTTP surface accepts fault campaigns and
