@@ -27,10 +27,8 @@ func main() {
 		healthEvery   = flag.Duration("health-interval", 250*time.Millisecond, "worker health-probe period")
 		failThreshold = flag.Int("fail-threshold", 2, "consecutive failed probes before a worker is marked dead")
 		proxyTimeout  = flag.Duration("proxy-timeout", 30*time.Second, "per-request bound for proxied calls")
-		tableSize     = flag.Uint64("maglev-m", 0, "Maglev table size (prime; 0 = 65537)")
 		journalPath   = flag.String("journal", "", "write-ahead journal path; restart over the same file recovers unfinished jobs and worker membership (empty = no journal)")
 		hedgeAfter    = flag.Duration("hedge-after", 0, "re-issue a slow submit to the next backend after this delay (0 = no hedging)")
-		hedgePct      = flag.Float64("hedge-percentile", 0.99, "raise the hedge delay to this observed submit-latency quantile")
 		logJSON       = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	)
 	flag.Parse()
@@ -57,15 +55,13 @@ func main() {
 
 	reg := metrics.NewRegistry()
 	coord, err := cluster.NewCoordinator(cluster.Options{
-		TableSize:       *tableSize,
-		HealthInterval:  *healthEvery,
-		FailThreshold:   *failThreshold,
-		ProxyTimeout:    *proxyTimeout,
-		Metrics:         reg,
-		Logger:          logger,
-		Journal:         jnl,
-		HedgeAfter:      *hedgeAfter,
-		HedgePercentile: *hedgePct,
+		HealthInterval: *healthEvery,
+		FailThreshold:  *failThreshold,
+		ProxyTimeout:   *proxyTimeout,
+		Metrics:        reg,
+		Logger:         logger,
+		Journal:        jnl,
+		HedgeAfter:     *hedgeAfter,
 	})
 	if err != nil {
 		logger.Error("start coordinator", "err", err)

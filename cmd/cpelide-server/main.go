@@ -37,8 +37,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "farm worker goroutines (0 = all CPUs)")
 		queueCap  = flag.Int("queue", 64, "pending-job queue capacity (full queue => 429)")
 		cacheCap  = flag.Int("cache", farm.DefaultCacheEntries, "result cache entries (negative disables caching)")
-		jobTO     = flag.Duration("job-timeout", 0, "per-attempt deadline for one simulation (0 = none)")
-		retries   = flag.Int("retries", 0, "extra attempts for transiently failed jobs (timeouts, panics)")
+		jobTO     = flag.Duration("job-timeout", 0, "deadline for one simulation (0 = none)")
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 
 		storeDir    = flag.String("store", "", "persistent result-store directory (empty disables; share it between workers for a cluster-wide store)")
@@ -60,7 +59,6 @@ func main() {
 		Workers:      *workers,
 		CacheEntries: *cacheCap,
 		JobTimeout:   *jobTO,
-		Retries:      *retries,
 		Metrics:      reg,
 	}
 

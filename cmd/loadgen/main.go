@@ -28,8 +28,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "schedule seed (campaigns are reproducible per seed)")
 		poll        = flag.Duration("poll", 25*time.Millisecond, "status-poll interval")
 		jobTimeout  = flag.Duration("job-timeout", 120*time.Second, "per-job completion bound; beyond it a job counts as lost")
-		retryBase   = flag.Duration("retry-base", 50*time.Millisecond, "first backoff after a transient transport error (coordinator bounce)")
-		retryMax    = flag.Duration("retry-max", 2*time.Second, "transient-error backoff cap")
+		retryMax    = flag.Duration("retry-max", 2*time.Second, "cap of the transient-error backoff (coordinator bounce), which starts at 50ms and doubles")
 		jsonOut     = flag.Bool("json", false, "print the result as JSON instead of text")
 		outPath     = flag.String("out", "", "also write the JSON result to this file")
 	)
@@ -45,17 +44,16 @@ func main() {
 	defer stop()
 
 	res, err := cluster.Campaign{
-		BaseURL:        *addr,
-		Jobs:           *jobs,
-		Distinct:       *distinct,
-		Concurrency:    *concurrency,
-		Scale:          *scale,
-		Mix:            mix,
-		Seed:           *seed,
-		PollInterval:   *poll,
-		JobTimeout:     *jobTimeout,
-		RetryBaseDelay: *retryBase,
-		RetryMaxDelay:  *retryMax,
+		BaseURL:       *addr,
+		Jobs:          *jobs,
+		Distinct:      *distinct,
+		Concurrency:   *concurrency,
+		Scale:         *scale,
+		Mix:           mix,
+		Seed:          *seed,
+		PollInterval:  *poll,
+		JobTimeout:    *jobTimeout,
+		RetryMaxDelay: *retryMax,
 	}.Run(ctx)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

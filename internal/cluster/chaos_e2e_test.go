@@ -105,16 +105,15 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 	}
 
 	campaign := Campaign{
-		BaseURL:        cs1.url(),
-		Jobs:           200,
-		Distinct:       100,
-		Concurrency:    16,
-		Scale:          0.05,
-		Seed:           42,
-		PollInterval:   10 * time.Millisecond,
-		JobTimeout:     60 * time.Second,
-		RetryBaseDelay: 20 * time.Millisecond,
-		RetryMaxDelay:  200 * time.Millisecond,
+		BaseURL:       cs1.url(),
+		Jobs:          200,
+		Distinct:      100,
+		Concurrency:   16,
+		Scale:         0.05,
+		Seed:          42,
+		PollInterval:  10 * time.Millisecond,
+		JobTimeout:    60 * time.Second,
+		RetryMaxDelay: 200 * time.Millisecond,
 	}
 	retried := make(chan struct{}, 1)
 	campaign.OnTransientRetry = func() {
@@ -359,16 +358,15 @@ func TestChaosConduitCampaign(t *testing.T) {
 	}
 
 	campaign := Campaign{
-		BaseURL:        cs.url(),
-		Jobs:           150,
-		Distinct:       75,
-		Concurrency:    12,
-		Scale:          0.05,
-		Seed:           11,
-		PollInterval:   10 * time.Millisecond,
-		JobTimeout:     60 * time.Second,
-		RetryBaseDelay: 10 * time.Millisecond,
-		RetryMaxDelay:  100 * time.Millisecond,
+		BaseURL:       cs.url(),
+		Jobs:          150,
+		Distinct:      75,
+		Concurrency:   12,
+		Scale:         0.05,
+		Seed:          11,
+		PollInterval:  10 * time.Millisecond,
+		JobTimeout:    60 * time.Second,
+		RetryMaxDelay: 100 * time.Millisecond,
 	}
 	type campaignOut struct {
 		res *Result
@@ -464,12 +462,11 @@ func TestChaosHedgedSubmit(t *testing.T) {
 
 	reg := metrics.NewRegistry()
 	cs := startCoord(t, "", Options{
-		HealthInterval:  25 * time.Millisecond,
-		FailThreshold:   3,
-		ProxyTimeout:    5 * time.Second,
-		Metrics:         reg,
-		HedgeAfter:      30 * time.Millisecond,
-		HedgePercentile: 0.99,
+		HealthInterval: 25 * time.Millisecond,
+		FailThreshold:  3,
+		ProxyTimeout:   5 * time.Second,
+		Metrics:        reg,
+		HedgeAfter:     30 * time.Millisecond,
 	})
 	defer cs.kill()
 	if err := cs.coord.Register(Worker{Name: "fast", URL: fast.ts.URL}); err != nil {

@@ -42,9 +42,6 @@ var (
 
 // Options tunes a Coordinator. The zero value is production-usable.
 type Options struct {
-	// TableSize is the Maglev lookup-table size; 0 uses maglev.SmallM.
-	// Must be prime.
-	TableSize uint64
 	// HealthInterval paces the worker health loop (default 250ms).
 	HealthInterval time.Duration
 	// FailThreshold is how many consecutive failed probes mark a worker
@@ -70,17 +67,11 @@ type Options struct {
 	// uses http.DefaultTransport. The chaos harness injects faults here.
 	Transport http.RoundTripper
 	// HedgeAfter, when > 0, enables hedged submits: if a routed job's
-	// owner has not answered within this delay (or the observed
-	// HedgePercentile submit latency, whichever is larger), the job is
-	// re-issued to the next healthy Maglev backend and the first
-	// conclusive answer wins. Safe because jobs are content-addressed:
-	// duplicate execution returns byte-identical results.
+	// owner has not answered within this fixed delay, the job is re-issued
+	// to the next healthy Maglev backend and the first conclusive answer
+	// wins. Safe because jobs are content-addressed: duplicate execution
+	// returns byte-identical results.
 	HedgeAfter time.Duration
-	// HedgePercentile in (0,1) raises the hedge delay to that quantile of
-	// observed submit latencies once enough samples exist, so hedges fire
-	// on genuine stragglers rather than the median. Only consulted when
-	// HedgeAfter > 0.
-	HedgePercentile float64
 }
 
 // workerState is one registered worker plus its health bookkeeping.
@@ -132,9 +123,6 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator and starts its health loop. Call
 // Close to stop it.
 func NewCoordinator(o Options) (*Coordinator, error) {
-	if o.TableSize == 0 {
-		o.TableSize = maglev.SmallM
-	}
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = 250 * time.Millisecond
 	}
@@ -144,7 +132,7 @@ func NewCoordinator(o Options) (*Coordinator, error) {
 	if o.ProxyTimeout <= 0 {
 		o.ProxyTimeout = 30 * time.Second
 	}
-	t, err := maglev.New(o.TableSize)
+	t, err := maglev.New(maglev.SmallM)
 	if err != nil {
 		return nil, err
 	}
@@ -634,7 +622,7 @@ func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response
 }
 
 // submitTo posts one job body to a worker and records the round-trip
-// latency for the hedge-delay percentile.
+// latency in cluster_submit_latency_us.
 func (c *Coordinator) submitTo(ctx context.Context, url string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		url+"/v1/jobs", bytes.NewReader(body))
@@ -648,23 +636,6 @@ func (c *Coordinator) submitTo(ctx context.Context, url string, body []byte) (*h
 		c.submitLat.Observe(uint64(time.Since(start).Microseconds()))
 	}
 	return resp, err
-}
-
-// hedgeDelay returns how long to wait before re-issuing a submit: the
-// HedgeAfter floor, raised to the observed HedgePercentile submit latency
-// once enough samples exist. 0 disables hedging.
-func (c *Coordinator) hedgeDelay() time.Duration {
-	d := c.opts.HedgeAfter
-	if d <= 0 {
-		return 0
-	}
-	const minSamples = 20
-	if p := c.opts.HedgePercentile; p > 0 && p < 1 && c.submitLat.Count() >= minSamples {
-		if q := time.Duration(c.submitLat.Quantile(p)) * time.Microsecond; q > d {
-			d = q
-		}
-	}
-	return d
 }
 
 // nextBackend returns the healthy worker after node in sorted-name order —
@@ -733,7 +704,7 @@ func (c *Coordinator) launchSubmit(ctx context.Context, node, url string, body [
 // backpressure, or a 5xx) wins; the straggler is reaped in the background.
 // Returns the winning response and the node that produced it.
 func (c *Coordinator) submitHedged(ctx context.Context, tj *trackedJob, node, url string) (*http.Response, string, error) {
-	delay := c.hedgeDelay()
+	delay := c.opts.HedgeAfter
 	if delay <= 0 {
 		resp, err := c.submitTo(ctx, url, tj.body)
 		return resp, node, err
@@ -836,6 +807,9 @@ func (c *Coordinator) rerouteFrom(dead string) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 		c.reroutes.Inc()
-		c.log.Info("job rerouted", "job_id", tj.id, "from", dead, "to", tj.node)
+		c.mu.Lock() // a concurrent place of the same job may move it again
+		to := tj.node
+		c.mu.Unlock()
+		c.log.Info("job rerouted", "job_id", tj.id, "from", dead, "to", to)
 	}
 }

@@ -13,8 +13,8 @@
 // is detected on read rather than served as a "deterministic" result. A
 // corrupt entry is moved to root/quarantine/ for post-mortem and reported
 // as an error — the farm counts it and recomputes, so corruption degrades
-// to a cache miss, never a wrong answer. Files written before the envelope
-// (bare report JSON) are still readable via a legacy migration path.
+// to a cache miss, never a wrong answer. A file without a known envelope
+// version, including bare report JSON, is corrupt.
 //
 // Concurrency and durability: writes go to a unique temp file in the store
 // root, are fsynced, and are published with os.Rename followed by an fsync
@@ -66,8 +66,6 @@ const quarantineDir = "quarantine"
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // envelope is the on-disk frame: the raw report JSON plus its checksum.
-// Legacy files are bare report JSON; they unmarshal into an envelope with
-// an empty Schema, which is how the read path tells the two apart.
 type envelope struct {
 	Schema string          `json:"schema"`
 	CRC    string          `json:"crc32c"`
@@ -146,28 +144,21 @@ func (s *Store) Get(key string) (*cpelide.Report, bool, error) {
 	return rep, true, nil
 }
 
-// decode validates and unwraps one entry's bytes, handling both the
-// versioned envelope and bare legacy reports.
+// decode validates and unwraps one entry's bytes. Only a Schema envelope
+// whose checksum matches its report payload decodes.
 func decode(b []byte) (*cpelide.Report, error) {
 	var env envelope
 	if err := json.Unmarshal(b, &env); err != nil {
 		return nil, fmt.Errorf("unparseable: %w", err)
 	}
-	raw := json.RawMessage(b)
-	switch env.Schema {
-	case "":
-		// Legacy bare report: no checksum to verify, the whole file is
-		// the payload.
-	case Schema:
-		if got := fmt.Sprintf("%08x", crc32.Checksum(env.Report, crcTable)); got != env.CRC {
-			return nil, fmt.Errorf("crc32c %s, file claims %s", got, env.CRC)
-		}
-		raw = env.Report
-	default:
+	if env.Schema != Schema {
 		return nil, fmt.Errorf("unknown schema %q", env.Schema)
 	}
+	if got := fmt.Sprintf("%08x", crc32.Checksum(env.Report, crcTable)); got != env.CRC {
+		return nil, fmt.Errorf("crc32c %s, file claims %s", got, env.CRC)
+	}
 	rep := new(cpelide.Report)
-	if err := json.Unmarshal(raw, rep); err != nil {
+	if err := json.Unmarshal(env.Report, rep); err != nil {
 		return nil, fmt.Errorf("bad report payload: %w", err)
 	}
 	return rep, nil

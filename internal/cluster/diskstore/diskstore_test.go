@@ -190,53 +190,66 @@ func TestChecksumMismatchQuarantines(t *testing.T) {
 	}
 }
 
-// TestLegacyBareReport reads a pre-envelope file (bare report JSON) written
-// by an older worker: the migration path must serve it unchanged.
-func TestLegacyBareReport(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, rep := testKey(4), testReport(4)
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, key[:2]), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, key[:2], key+".json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := s.Get(key)
-	if !ok || err != nil {
-		t.Fatalf("legacy get: ok=%v err=%v", ok, err)
-	}
-	b, _ := json.Marshal(got)
-	if !bytes.Equal(raw, b) {
-		t.Fatalf("legacy round trip not byte-identical:\n%s\n%s", raw, b)
-	}
-}
-
-// TestUnknownSchemaQuarantines: a future envelope version this binary does
-// not understand must fail closed, not be misread as a legacy report.
+// TestUnknownSchemaQuarantines: a file without a known envelope version
+// must fail closed: ErrCorrupt, moved to quarantine/, OnCorrupt called.
+// That covers a future schema, a bare report with no envelope at all, and
+// an envelope whose "schema" key lost a bit — still valid JSON, which
+// decodes to an empty report (zero cycles) unless the schema is checked.
 func TestUnknownSchemaQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
+	bare, err := json.Marshal(testReport(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := testKey(5)
-	if err := os.MkdirAll(filepath.Join(dir, key[:2]), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	blob := []byte(`{"schema":"diskstore/v9","crc32c":"00000000","report":{}}`)
-	if err := os.WriteFile(filepath.Join(dir, key[:2], key+".json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := s.Get(key); ok || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("future schema: ok=%v err=%v, want ErrCorrupt", ok, err)
+	for _, tc := range []struct {
+		name string
+		blob func(t *testing.T, s *Store, key string) []byte
+	}{
+		{"future schema", func(*testing.T, *Store, string) []byte {
+			return []byte(`{"schema":"diskstore/v9","crc32c":"00000000","report":{}}`)
+		}},
+		{"bare report", func(*testing.T, *Store, string) []byte { return bare }},
+		{"flipped schema key", func(t *testing.T, s *Store, key string) []byte {
+			if err := s.Put(key, testReport(5)); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(s.path(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := bytes.Index(b, []byte(`"schema"`))
+			if i < 0 {
+				t.Fatalf("no schema key in %s", b)
+			}
+			b[i+1] ^= 0x01 // 's' -> 'r'
+			return b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hooked []string
+			s.OnCorrupt = func(key string) { hooked = append(hooked, key) }
+			key := testKey(5)
+			blob := tc.blob(t, s, key)
+			if err := os.MkdirAll(filepath.Join(dir, key[:2]), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(s.path(key), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if rep, ok, err := s.Get(key); ok || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("ok=%v err=%v rep=%+v, want ErrCorrupt", ok, err, rep)
+			}
+			if len(hooked) != 1 || hooked[0] != key {
+				t.Fatalf("OnCorrupt calls = %v, want [%s]", hooked, key)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "quarantine", key+".json")); err != nil {
+				t.Fatalf("corrupt file not quarantined: %v", err)
+			}
+		})
 	}
 }
 

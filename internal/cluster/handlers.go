@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster/maglev"
 	"repro/internal/farm"
 	"repro/internal/server"
 )
@@ -293,14 +294,13 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	tracked := len(c.jobs)
-	tableLen := int(c.opts.TableSize)
 	c.mu.Unlock()
 
 	out := ClusterStats{
 		Nodes:     make(map[string]*server.StatsResponse, len(targets)),
 		Healthy:   healthy,
 		Tracked:   tracked,
-		MaglevLen: tableLen,
+		MaglevLen: maglev.SmallM,
 	}
 	for name, url := range targets {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url+"/v1/stats", nil)
@@ -341,7 +341,6 @@ func sumCounters(a, b farm.Counters) farm.Counters {
 		Errors:      a.Errors + b.Errors,
 		Panics:      a.Panics + b.Panics,
 		Evictions:   a.Evictions + b.Evictions,
-		Retries:     a.Retries + b.Retries,
 		Timeouts:    a.Timeouts + b.Timeouts,
 		StoreHits:   a.StoreHits + b.StoreHits,
 		StorePuts:   a.StorePuts + b.StorePuts,

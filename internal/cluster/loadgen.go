@@ -86,11 +86,8 @@ type Campaign struct {
 	// JobTimeout bounds one job's submit-to-result wait (default 120s);
 	// a job that exceeds it counts as lost.
 	JobTimeout time.Duration
-	// RetryBaseDelay is the first backoff after a transient transport error
-	// (connection refused/reset while a coordinator restarts); consecutive
-	// errors back off exponentially with full jitter (default 50ms).
-	RetryBaseDelay time.Duration
-	// RetryMaxDelay caps the transient-error backoff (default 2s), so a
+	// RetryMaxDelay caps the transient-error backoff (default 2s), which
+	// starts at retryBaseDelay and doubles per consecutive error, so a
 	// coordinator bounce delays a campaign instead of failing it while the
 	// client never hammers a recovering endpoint.
 	RetryMaxDelay time.Duration
@@ -198,9 +195,6 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 120 * time.Second
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
 	}
 	if c.RetryMaxDelay <= 0 {
 		c.RetryMaxDelay = 2 * time.Second
@@ -393,14 +387,18 @@ func (c Campaign) sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
+// retryBaseDelay is the first backoff after a transient transport error
+// (connection refused/reset while a coordinator restarts).
+const retryBaseDelay = 50 * time.Millisecond
+
 // backoff absorbs the streak-th consecutive transport error: it reports
 // the retry to OnTransientRetry, then sleeps a full-jitter exponential
-// delay, uniform in (0, min(base<<(streak-1), max)].
+// delay, uniform in (0, min(retryBaseDelay<<(streak-1), RetryMaxDelay)].
 func (c Campaign) backoff(ctx context.Context, streak int) {
 	if c.OnTransientRetry != nil {
 		c.OnTransientRetry()
 	}
-	delay := c.RetryBaseDelay
+	delay := retryBaseDelay
 	for i := 1; i < streak && delay < c.RetryMaxDelay; i++ {
 		delay <<= 1
 	}

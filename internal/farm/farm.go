@@ -16,16 +16,15 @@
 // context-aware (a canceled submitter stops waiting, and a canceled
 // leader's simulation halts at the next kernel boundary via
 // cpelide.RunStreamsContext), and worker panics are isolated into errors.
-// Hit/miss/run counters are kept internally, optionally mirrored into a
-// stats.Sheet, and each job's queued -> running -> done lifetime can be
-// emitted into a trace.Recorder for Perfetto.
+// Hit/miss/run counters are kept internally (Counters), and each job's
+// queued -> running -> done lifetime can be emitted into a trace.Recorder
+// for Perfetto.
 package farm
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync"
 	"time"
@@ -33,7 +32,6 @@ import (
 	"repro"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -46,16 +44,13 @@ const DefaultCacheEntries = 4096
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("farm: closed")
 
-// ErrJobTimeout marks a job attempt that exceeded Options.JobTimeout while
+// ErrJobTimeout marks a job run that exceeded Options.JobTimeout while
 // its submitter was still waiting. Wrapped, so test with errors.Is.
-var ErrJobTimeout = errors.New("farm: job attempt timed out")
+var ErrJobTimeout = errors.New("farm: job timed out")
 
 // ErrPanic marks a job whose execution panicked. Wrapped, so test with
 // errors.Is.
 var ErrPanic = errors.New("farm: job panicked")
-
-// DefaultRetryDelay is the backoff base when Options.RetryBaseDelay is zero.
-const DefaultRetryDelay = 10 * time.Millisecond
 
 // Options configures a Farm.
 type Options struct {
@@ -64,23 +59,13 @@ type Options struct {
 	// CacheEntries bounds the result cache: 0 uses DefaultCacheEntries,
 	// negative disables caching (single-flight dedup still applies).
 	CacheEntries int
-	// Stats, when non-nil, receives the farm counters (stats.Farm*) as
-	// absolute levels after every state change.
-	Stats *stats.Sheet
 	// Trace, when non-nil, records one span per job (queued -> running ->
 	// done/cached/error) in wall-clock microseconds since the farm started.
 	Trace *trace.Recorder
-	// JobTimeout bounds each execution attempt; the simulation halts at the
-	// next kernel boundary once the deadline passes and the attempt fails
-	// with ErrJobTimeout. Zero means no per-attempt deadline.
+	// JobTimeout bounds each simulation; it halts at the next kernel
+	// boundary once the deadline passes and the job fails with
+	// ErrJobTimeout (and is not cached). Zero means no deadline.
 	JobTimeout time.Duration
-	// Retries is how many extra attempts a transiently failed job gets
-	// (a timed-out attempt or a worker panic, never a canceled submitter).
-	// Zero means fail on the first error.
-	Retries int
-	// RetryBaseDelay is the base of the full-jitter exponential backoff
-	// between attempts; zero uses DefaultRetryDelay.
-	RetryBaseDelay time.Duration
 	// Metrics, when non-nil, receives the farm's production metrics:
 	// lifecycle counters, queue-depth and cache gauges, a per-job latency
 	// histogram, and post-run roll-ups of simulation and fault-injection
@@ -112,9 +97,7 @@ type Counters struct {
 	Panics uint64 `json:"panics"`
 	// Evictions counts cache entries dropped by the LRU bound.
 	Evictions uint64 `json:"evictions"`
-	// Retries counts re-executed attempts after transient failures.
-	Retries uint64 `json:"retries"`
-	// Timeouts counts attempts that hit the per-attempt JobTimeout.
+	// Timeouts counts simulations that hit the JobTimeout.
 	Timeouts uint64 `json:"timeouts"`
 	// StoreHits counts flights resolved from the persistent store instead
 	// of a fresh simulation (Options.Store only).
@@ -139,15 +122,12 @@ type Farm struct {
 	c        Counters
 	closed   bool
 
-	sheet *stats.Sheet
 	rec   *trace.Recorder
 	m     *farmMetrics
 	store Store
 	epoch time.Time
 
 	jobTimeout time.Duration
-	retries    int
-	retryBase  time.Duration
 }
 
 // flight is one in-progress computation; every submitter of the same key
@@ -186,14 +166,11 @@ func New(o Options) *Farm {
 		quit:     make(chan struct{}),
 		cache:    newLRU(entries),
 		inflight: make(map[string]*flight),
-		sheet:    o.Stats,
 		rec:      o.Trace,
 		store:    o.Store,
 		epoch:    time.Now(),
 
 		jobTimeout: o.JobTimeout,
-		retries:    o.Retries,
-		retryBase:  o.RetryBaseDelay,
 	}
 	f.m = newFarmMetrics(f, o.Metrics)
 	f.wg.Add(w)
@@ -250,7 +227,6 @@ func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
 	if rep, ok := f.cache.get(key); ok {
 		f.c.CacheHits++
 		f.m.hits.Inc()
-		f.mirrorLocked()
 		now := f.sinceUS()
 		f.mu.Unlock()
 		f.traceJob(-1, job.Name()+" [cached]", now, now, now)
@@ -259,7 +235,6 @@ func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
 	if fl, ok := f.inflight[key]; ok {
 		f.c.DedupWaits++
 		f.m.dedup.Inc()
-		f.mirrorLocked()
 		f.mu.Unlock()
 		select {
 		case <-fl.done:
@@ -276,7 +251,6 @@ func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
 	f.m.misses.Inc()
 	fl := &flight{key: key, job: job, queuedUS: f.sinceUS(), done: make(chan struct{})}
 	f.inflight[key] = fl
-	f.mirrorLocked()
 	f.mu.Unlock()
 
 	t := &task{ctx: ctx, fl: fl}
@@ -352,7 +326,7 @@ func (f *Farm) run(id int, t *task) {
 		f.traceJob(id, t.fl.job.Name()+" [store]", t.fl.queuedUS, startUS, f.sinceUS())
 		return
 	}
-	rep, err := f.executeWithRetry(t.ctx, t.fl.job)
+	rep, err := f.executeTimed(t.ctx, t.fl.job)
 	state := "done"
 	if err != nil {
 		state = "error"
@@ -374,7 +348,6 @@ func (f *Farm) storeGet(key string) (*cpelide.Report, bool) {
 		f.mu.Lock()
 		f.c.StoreErrors++
 		f.m.storeErrs.Inc()
-		f.mirrorLocked()
 		f.mu.Unlock()
 		return nil, false
 	}
@@ -396,38 +369,12 @@ func (f *Farm) storePut(key string, rep *cpelide.Report) {
 		f.c.StorePuts++
 		f.m.storePuts.Inc()
 	}
-	f.mirrorLocked()
 	f.mu.Unlock()
 }
 
-// executeWithRetry runs j, re-attempting transient failures (per-attempt
-// timeouts and worker panics) up to f.retries extra times with full-jitter
-// exponential backoff. A canceled submitter or a deterministic simulation
-// error fails immediately.
-func (f *Farm) executeWithRetry(ctx context.Context, j Job) (*cpelide.Report, error) {
-	rep, err := f.attempt(ctx, j)
-	for r := 0; r < f.retries && f.transient(ctx, err); r++ {
-		select {
-		case <-time.After(f.retryDelay(r)):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-f.quit:
-			return nil, ErrClosed
-		}
-		f.mu.Lock()
-		f.c.Retries++
-		f.m.retries.Inc()
-		f.mirrorLocked()
-		f.mu.Unlock()
-		rep, err = f.attempt(ctx, j)
-	}
-	return rep, err
-}
-
-// attempt runs j once under the per-attempt deadline, translating an
-// attempt-local deadline expiry (the submitter is still waiting) into
-// ErrJobTimeout.
-func (f *Farm) attempt(parent context.Context, j Job) (*cpelide.Report, error) {
+// executeTimed runs j under the job deadline, translating its expiry (the
+// submitter is still waiting) into ErrJobTimeout.
+func (f *Farm) executeTimed(parent context.Context, j Job) (*cpelide.Report, error) {
 	ctx := parent
 	if f.jobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -439,35 +386,10 @@ func (f *Farm) attempt(parent context.Context, j Job) (*cpelide.Report, error) {
 		f.mu.Lock()
 		f.c.Timeouts++
 		f.m.timeouts.Inc()
-		f.mirrorLocked()
 		f.mu.Unlock()
 		return nil, fmt.Errorf("farm: job %s after %v: %w", j.Name(), f.jobTimeout, ErrJobTimeout)
 	}
 	return rep, err
-}
-
-// transient reports whether err is worth another attempt: an attempt-local
-// timeout or a panic, while the submitter itself is still waiting.
-func (f *Farm) transient(ctx context.Context, err error) bool {
-	if err == nil || ctx.Err() != nil {
-		return false
-	}
-	return errors.Is(err, ErrJobTimeout) || errors.Is(err, ErrPanic)
-}
-
-// retryDelay draws a full-jitter backoff delay for the given retry index:
-// uniform in [0, base<<attempt], capped at one second. Jitter decorrelates
-// retry storms when many jobs fail together.
-func (f *Farm) retryDelay(attempt int) time.Duration {
-	base := f.retryBase
-	if base <= 0 {
-		base = DefaultRetryDelay
-	}
-	ceil := base << uint(attempt)
-	if ceil > time.Second {
-		ceil = time.Second
-	}
-	return time.Duration(rand.Int64N(int64(ceil) + 1))
 }
 
 // execute builds the job's workload(s) and runs the simulation, converting
@@ -554,29 +476,7 @@ func (f *Farm) finish(fl *flight, rep *cpelide.Report, err error, src resolveSrc
 	if f.inflight[fl.key] == fl {
 		delete(f.inflight, fl.key)
 	}
-	f.mirrorLocked()
 	close(fl.done)
-}
-
-// mirrorLocked copies the counters into the optional stats sheet as
-// absolute levels (the Farm* counters carry max semantics). Caller holds mu.
-func (f *Farm) mirrorLocked() {
-	if f.sheet == nil {
-		return
-	}
-	f.sheet.Set(stats.FarmJobs, f.c.Jobs)
-	f.sheet.Set(stats.FarmCacheHits, f.c.CacheHits)
-	f.sheet.Set(stats.FarmCacheMisses, f.c.CacheMisses)
-	f.sheet.Set(stats.FarmDedupWaits, f.c.DedupWaits)
-	f.sheet.Set(stats.FarmRuns, f.c.Runs)
-	f.sheet.Set(stats.FarmErrors, f.c.Errors)
-	f.sheet.Set(stats.FarmPanics, f.c.Panics)
-	f.sheet.Set(stats.FarmEvictions, f.c.Evictions)
-	f.sheet.Set(stats.FarmRetries, f.c.Retries)
-	f.sheet.Set(stats.FarmTimeouts, f.c.Timeouts)
-	f.sheet.Set(stats.FarmStoreHits, f.c.StoreHits)
-	f.sheet.Set(stats.FarmStorePuts, f.c.StorePuts)
-	f.sheet.Set(stats.FarmStoreErrors, f.c.StoreErrors)
 }
 
 // sinceUS returns wall-clock microseconds since the farm started.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -253,34 +252,6 @@ func TestSubmitAfterClose(t *testing.T) {
 	}
 }
 
-// TestStatsMirror checks the farm levels land in the shared stats sheet.
-func TestStatsMirror(t *testing.T) {
-	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
-		return &cpelide.Report{}, nil
-	}
-	defer func() { execHook = nil }()
-
-	sheet := stats.New()
-	f := New(Options{Workers: 1, Stats: sheet})
-	defer f.Close()
-
-	job := baseJob()
-	for i := 0; i < 3; i++ {
-		if _, err := f.Submit(context.Background(), job); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := sheet.Get(stats.FarmJobs); got != 3 {
-		t.Fatalf("sheet farm.jobs=%d, want 3", got)
-	}
-	if got := sheet.Get(stats.FarmRuns); got != 1 {
-		t.Fatalf("sheet farm.runs=%d, want 1", got)
-	}
-	if got := sheet.Get(stats.FarmCacheHits); got != 2 {
-		t.Fatalf("sheet farm.cache_hits=%d, want 2", got)
-	}
-}
-
 // TestTraceSpans checks every submission leaves a farm span with a
 // terminal state in the recorder.
 func TestTraceSpans(t *testing.T) {
@@ -459,98 +430,41 @@ func inflightLen(f *Farm) int {
 	return len(f.inflight)
 }
 
-// TestRetryAfterTransientFailure checks panicking attempts are re-run with
-// backoff up to the retry budget, while deterministic errors fail fast.
-func TestRetryAfterTransientFailure(t *testing.T) {
-	var mu sync.Mutex
-	attempts := 0
-	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
-		if j.Workload == "bfs" {
-			return nil, errors.New("deterministic failure")
-		}
-		mu.Lock()
-		attempts++
-		n := attempts
-		mu.Unlock()
-		if n < 3 {
-			panic("transient fault")
-		}
-		return &cpelide.Report{Cycles: 7}, nil
-	}
-	defer func() { execHook = nil }()
-
-	f := New(Options{Workers: 1, Retries: 3, RetryBaseDelay: time.Millisecond})
-	defer f.Close()
-
-	rep, err := f.Submit(context.Background(), baseJob())
-	if err != nil {
-		t.Fatalf("job failed despite retry budget: %v", err)
-	}
-	if rep.Cycles != 7 {
-		t.Fatalf("got report %+v, want the third attempt's result", rep)
-	}
-	c := f.Counters()
-	if c.Retries != 2 || c.Panics != 2 {
-		t.Fatalf("retries=%d panics=%d, want 2 and 2", c.Retries, c.Panics)
-	}
-	if c.Runs != 1 || c.Errors != 0 {
-		t.Fatalf("runs=%d errors=%d, want 1 and 0 (the job eventually succeeded)", c.Runs, c.Errors)
-	}
-
-	// A deterministic error consumes no retries.
-	bad := baseJob()
-	bad.Workload = "bfs"
-	if _, err := f.Submit(context.Background(), bad); err == nil {
-		t.Fatal("deterministic failure succeeded")
-	}
-	if got := f.Counters().Retries; got != 2 {
-		t.Fatalf("deterministic failure was retried: retries=%d, want still 2", got)
-	}
-}
-
-// TestJobTimeout covers the per-attempt deadline: without retries the
-// submitter sees ErrJobTimeout; with a retry budget a slow first attempt is
-// re-run and can succeed.
+// TestJobTimeout covers the job deadline: a job that hangs surfaces
+// ErrJobTimeout to its submitter, and the failure is not cached, so a
+// resubmission runs the job again.
 func TestJobTimeout(t *testing.T) {
 	var mu sync.Mutex
-	attempts := 0
+	execs := 0
 	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
 		mu.Lock()
-		attempts++
-		n := attempts
+		execs++
 		mu.Unlock()
-		if n == 1 || j.Params.Iters == 13 { // first attempt (and the hopeless job) hang
-			<-ctx.Done()
-			return nil, ctx.Err()
-		}
-		return &cpelide.Report{Cycles: 9}, nil
+		<-ctx.Done()
+		return nil, ctx.Err()
 	}
 	defer func() { execHook = nil }()
 
-	f := New(Options{Workers: 1, JobTimeout: 20 * time.Millisecond, Retries: 1, RetryBaseDelay: time.Millisecond})
+	f := New(Options{Workers: 1, JobTimeout: 20 * time.Millisecond})
 	defer f.Close()
 
-	rep, err := f.Submit(context.Background(), baseJob())
-	if err != nil {
-		t.Fatalf("slow first attempt was not retried: %v", err)
-	}
-	if rep.Cycles != 9 {
-		t.Fatalf("got report %+v, want the retry's result", rep)
-	}
-	c := f.Counters()
-	if c.Timeouts != 1 || c.Retries != 1 {
-		t.Fatalf("timeouts=%d retries=%d, want 1 and 1", c.Timeouts, c.Retries)
-	}
-
-	// A job that hangs on every attempt exhausts the budget and surfaces
-	// ErrJobTimeout to the submitter.
 	hopeless := baseJob()
-	hopeless.Params.Iters = 13
 	if _, err := f.Submit(context.Background(), hopeless); !errors.Is(err, ErrJobTimeout) {
 		t.Fatalf("got %v, want ErrJobTimeout", err)
 	}
-	if c := f.Counters(); c.Timeouts != 3 || c.Errors != 1 {
-		t.Fatalf("timeouts=%d errors=%d, want 3 and 1", c.Timeouts, c.Errors)
+	if c := f.Counters(); c.Timeouts != 1 || c.Errors != 1 {
+		t.Fatalf("timeouts=%d errors=%d, want 1 and 1", c.Timeouts, c.Errors)
+	}
+
+	if _, err := f.Submit(context.Background(), hopeless); !errors.Is(err, ErrJobTimeout) {
+		t.Fatalf("resubmit: got %v, want ErrJobTimeout", err)
+	}
+	mu.Lock()
+	n := execs
+	mu.Unlock()
+	if c := f.Counters(); n != 2 || c.Timeouts != 2 || c.CacheHits != 0 {
+		t.Fatalf("resubmit: execs=%d timeouts=%d cache_hits=%d, want 2, 2 and 0 (a timeout is never cached)",
+			n, c.Timeouts, c.CacheHits)
 	}
 }
 

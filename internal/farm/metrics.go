@@ -14,7 +14,7 @@ import (
 type farmMetrics struct {
 	jobs, hits, misses, dedup       *metrics.Counter
 	runs, errs, panics              *metrics.Counter
-	evictions, retries, timeouts    *metrics.Counter
+	evictions, timeouts             *metrics.Counter
 	storeHits, storePuts, storeErrs *metrics.Counter
 	jobUS                           *metrics.Histogram
 
@@ -38,8 +38,7 @@ func newFarmMetrics(f *Farm, r *metrics.Registry) *farmMetrics {
 		errs:      r.Counter("farm_errors_total", "Failed executions, including canceled ones."),
 		panics:    r.Counter("farm_panics_total", "Worker panics (a subset of errors)."),
 		evictions: r.Counter("farm_cache_evictions_total", "Cache entries dropped by the LRU bound."),
-		retries:   r.Counter("farm_retries_total", "Re-executed attempts after transient failures."),
-		timeouts:  r.Counter("farm_timeouts_total", "Attempts that hit the per-attempt job timeout."),
+		timeouts:  r.Counter("farm_timeouts_total", "Simulations that hit the job timeout."),
 		storeHits: r.Counter("farm_store_hits_total", "Flights resolved from the persistent result store instead of simulating."),
 		storePuts: r.Counter("farm_store_puts_total", "Completed runs written back to the persistent result store."),
 		storeErrs: r.Counter("farm_store_errors_total", "Failed persistent-store reads and writes (jobs still succeed)."),

@@ -40,7 +40,6 @@ func (f *Farm) Warm(keys []string) int {
 			f.mu.Lock()
 			f.c.StoreErrors++
 			f.m.storeErrs.Inc()
-			f.mirrorLocked()
 			f.mu.Unlock()
 			continue
 		}
@@ -52,7 +51,6 @@ func (f *Farm) Warm(keys []string) int {
 			f.c.Evictions++
 			f.m.evictions.Inc()
 		}
-		f.mirrorLocked()
 		f.mu.Unlock()
 		loaded++
 	}

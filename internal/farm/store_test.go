@@ -8,7 +8,6 @@ import (
 
 	"repro"
 	"repro/internal/cluster/diskstore"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -60,8 +59,7 @@ func TestStoreHitSkipsRun(t *testing.T) {
 	}
 	defer func() { execHook = nil }()
 
-	sheet := stats.New()
-	f := New(Options{Workers: 1, Store: st, Stats: sheet})
+	f := New(Options{Workers: 1, Store: st})
 	defer f.Close()
 
 	rep, err := f.Submit(context.Background(), job)
@@ -74,9 +72,6 @@ func TestStoreHitSkipsRun(t *testing.T) {
 	c := f.Counters()
 	if c.StoreHits != 1 || c.Runs != 0 || c.StorePuts != 0 {
 		t.Fatalf("counters = %+v, want StoreHits=1 Runs=0 StorePuts=0", c)
-	}
-	if sheet.Get(stats.FarmStoreHits) != 1 {
-		t.Fatalf("stats mirror: FarmStoreHits=%d, want 1", sheet.Get(stats.FarmStoreHits))
 	}
 
 	// The hit populated the LRU: a re-submit is a cache hit, not another
@@ -129,8 +124,7 @@ func TestStoreErrorsDoNotFailJobs(t *testing.T) {
 	}
 	defer func() { execHook = nil }()
 
-	sheet := stats.New()
-	f := New(Options{Workers: 1, Store: st, Stats: sheet})
+	f := New(Options{Workers: 1, Store: st})
 	defer f.Close()
 
 	rep, err := f.Submit(context.Background(), baseJob())
@@ -140,9 +134,6 @@ func TestStoreErrorsDoNotFailJobs(t *testing.T) {
 	c := f.Counters()
 	if c.StoreErrors != 2 || c.Runs != 1 || c.StoreHits != 0 || c.StorePuts != 0 {
 		t.Fatalf("counters = %+v, want StoreErrors=2 (one read, one write) Runs=1", c)
-	}
-	if sheet.Get(stats.FarmStoreErrors) != 2 {
-		t.Fatalf("stats mirror: FarmStoreErrors=%d, want 2", sheet.Get(stats.FarmStoreErrors))
 	}
 }
 

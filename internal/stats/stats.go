@@ -80,23 +80,6 @@ const (
 	TableDegradations
 	FlitsRemoteDegraded
 
-	// Experiment-farm counters (internal/farm). These are absolute levels
-	// mirrored from the farm's own atomic tallies, not additive per-run
-	// deltas, so they carry max semantics.
-	FarmJobs
-	FarmCacheHits
-	FarmCacheMisses
-	FarmDedupWaits
-	FarmRuns
-	FarmErrors
-	FarmPanics
-	FarmEvictions
-	FarmRetries
-	FarmTimeouts
-	FarmStoreHits
-	FarmStorePuts
-	FarmStoreErrors
-
 	// Timing counters.
 	TotalCycles
 	ComputeCycles
@@ -160,20 +143,6 @@ var counterNames = [numCounters]string{
 	TableDegradations:     "cp.table_degradations",
 	FlitsRemoteDegraded:   "noc.flits.remote_degraded",
 
-	FarmJobs:        "farm.jobs",
-	FarmCacheHits:   "farm.cache_hits",
-	FarmCacheMisses: "farm.cache_misses",
-	FarmDedupWaits:  "farm.dedup_waits",
-	FarmRuns:        "farm.runs",
-	FarmErrors:      "farm.errors",
-	FarmPanics:      "farm.panics",
-	FarmEvictions:   "farm.cache_evictions",
-	FarmRetries:     "farm.retries",
-	FarmTimeouts:    "farm.timeouts",
-	FarmStoreHits:   "farm.store_hits",
-	FarmStorePuts:   "farm.store_puts",
-	FarmStoreErrors: "farm.store_errors",
-
 	TotalCycles:   "time.total_cycles",
 	ComputeCycles: "time.compute_cycles",
 	MemoryCycles:  "time.memory_cycles",
@@ -213,9 +182,6 @@ var maxSemantics = func() [numCounters]bool {
 	var m [numCounters]bool
 	for _, c := range []Counter{
 		TablePeakUse, TableCoarsening, TotalCycles, StaleReads,
-		FarmJobs, FarmCacheHits, FarmCacheMisses, FarmDedupWaits,
-		FarmRuns, FarmErrors, FarmPanics, FarmEvictions, FarmRetries,
-		FarmTimeouts, FarmStoreHits, FarmStorePuts, FarmStoreErrors,
 	} {
 		m[c] = true
 	}

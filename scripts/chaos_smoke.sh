@@ -30,8 +30,7 @@ go build -o "$BIN/" ./cmd/cpelide-coordinator ./cmd/cpelide-server ./cmd/loadgen
 
 wait_up() { # base-url
   for _ in $(seq 1 100); do
-    code=$(curl -s -o /dev/null -w '%{http_code}' "$1/healthz" 2>/dev/null || echo 000)
-    [ "$code" != 000 ] && return
+    curl -s -o /dev/null "$1/healthz" && return # any HTTP answer, even 503
     sleep 0.1
   done
   echo "never came up: $1" >&2
@@ -48,8 +47,7 @@ start_coordinator() { # retries the bind: right after SIGKILL the port can lag
     PIDS+=($CPID)
     for _ in $(seq 1 50); do
       kill -0 "$CPID" 2>/dev/null || break # bind failed, process exited
-      code=$(curl -s -o /dev/null -w '%{http_code}' "$COORD/healthz" 2>/dev/null || echo 000)
-      [ "$code" != 000 ] && return
+      curl -s -o /dev/null "$COORD/healthz" && return # any HTTP answer, even 503
       sleep 0.1
     done
     kill -9 "$CPID" 2>/dev/null || true
@@ -68,7 +66,7 @@ for i in 1 2 3; do
 done
 
 "$BIN/loadgen" -addr "$COORD" -jobs 200 -distinct 100 -concurrency 16 \
-  -scale 0.05 -seed 42 -poll 25ms -retry-base 50ms -retry-max 500ms \
+  -scale 0.05 -seed 42 -poll 25ms -retry-max 500ms \
   -out "$SCRATCH/crash.json" &
 LG=$!
 PIDS+=($LG)
@@ -104,7 +102,7 @@ cleanup
 PIDS=()
 
 # --- phase 2: corrupt one stored result, replay over the damaged store ------
-VICTIM=$(find "$STORE" -mindepth 2 -name '*.json' -not -path '*/quarantine/*' | sort | head -1)
+VICTIM=$(find "$STORE" -mindepth 2 -name '*.json' -not -path '*/quarantine/*' | sort | sed -n 1p)
 [ -n "$VICTIM" ] || { echo "no stored results to corrupt" >&2; exit 1; }
 echo "this is not a report" > "$VICTIM"
 echo "corrupted $VICTIM"

@@ -27,8 +27,7 @@ go build -o "$BIN/" ./cmd/cpelide-coordinator ./cmd/cpelide-server ./cmd/loadgen
 # Up = answering HTTP at all; a coordinator with no workers yet answers 503.
 wait_up() {
   for _ in $(seq 1 50); do
-    code=$(curl -s -o /dev/null -w '%{http_code}' "$1/healthz" 2>/dev/null || echo 000)
-    [ "$code" != 000 ] && return
+    curl -s -o /dev/null "$1/healthz" && return # any HTTP answer, even 503
     sleep 0.2
   done
   echo "never came up: $1" >&2

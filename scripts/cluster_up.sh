@@ -20,8 +20,7 @@ go build -o "$BIN/" ./cmd/cpelide-coordinator ./cmd/cpelide-server
 "$BIN/cpelide-coordinator" -addr :8070 &
 PIDS+=($!)
 for _ in $(seq 1 50); do
-  code=$(curl -s -o /dev/null -w '%{http_code}' http://localhost:8070/healthz 2>/dev/null || echo 000)
-  [ "$code" != 000 ] && break
+  curl -s -o /dev/null http://localhost:8070/healthz && break # any HTTP answer, even 503
   sleep 0.2
 done
 
