@@ -1,8 +1,9 @@
 // Command cpelide-coordinator fronts a fleet of cpelide-server workers as
-// one experiment farm: jobs are routed by content hash through a Maglev
-// table, dead workers are detected by health polling, and their unfinished
-// jobs are replayed onto the survivors. Workers register themselves at
-// startup (cpelide-server -coordinator) or via POST /v1/workers/register.
+// one experiment farm: jobs are routed by content hash with rendezvous
+// hashing over the healthy workers, dead workers are detected by health
+// polling, and their unfinished jobs are replayed onto the survivors.
+// Workers register themselves at startup (cpelide-server -coordinator) or
+// via POST /v1/workers/register.
 package main
 
 import (
@@ -28,7 +29,7 @@ func main() {
 		failThreshold = flag.Int("fail-threshold", 2, "consecutive failed probes before a worker is marked dead")
 		proxyTimeout  = flag.Duration("proxy-timeout", 30*time.Second, "per-request bound for proxied calls")
 		journalPath   = flag.String("journal", "", "write-ahead journal path; restart over the same file recovers unfinished jobs and worker membership (empty = no journal)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "re-issue a slow submit to the next backend after this delay (0 = no hedging)")
+		hedgeAfter    = flag.Duration("hedge-after", 0, "re-issue a slow submit to the job's second-ranked worker after this delay (0 = no hedging)")
 		logJSON       = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	)
 	flag.Parse()
@@ -54,7 +55,7 @@ func main() {
 	}
 
 	reg := metrics.NewRegistry()
-	coord, err := cluster.NewCoordinator(cluster.Options{
+	coord := cluster.NewCoordinator(cluster.Options{
 		HealthInterval: *healthEvery,
 		FailThreshold:  *failThreshold,
 		ProxyTimeout:   *proxyTimeout,
@@ -63,10 +64,6 @@ func main() {
 		Journal:        jnl,
 		HedgeAfter:     *hedgeAfter,
 	})
-	if err != nil {
-		logger.Error("start coordinator", "err", err)
-		os.Exit(1)
-	}
 	httpSrv := &http.Server{Addr: *addr, Handler: coord.Handler()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -44,7 +44,6 @@ func main() {
 		coordinator = flag.String("coordinator", "", "coordinator base URL to register with (empty = standalone)")
 		advertise   = flag.String("advertise", "", "base URL workers advertise to the coordinator (default http://localhost<addr>)")
 		nodeName    = flag.String("node", "", "worker name for routing and metrics (default worker<addr>)")
-		weight      = flag.Int("weight", 1, "Maglev capacity weight relative to other workers")
 	)
 	flag.Parse()
 
@@ -109,11 +108,7 @@ func main() {
 	// is up; a failed registration is fatal because unregistered workers
 	// never receive traffic.
 	if *coordinator != "" {
-		worker := cluster.Worker{
-			Name:   *nodeName,
-			URL:    *advertise,
-			Weight: *weight,
-		}
+		worker := cluster.Worker{Name: *nodeName, URL: *advertise}
 		if worker.URL == "" {
 			worker.URL = guessAdvertiseURL(*addr)
 		}
@@ -128,7 +123,7 @@ func main() {
 			os.Exit(1)
 		}
 		logger.Info("registered", "coordinator", *coordinator,
-			"node", worker.Name, "url", worker.URL, "weight", worker.Weight)
+			"node", worker.Name, "url", worker.URL)
 		defer func() {
 			deregCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()

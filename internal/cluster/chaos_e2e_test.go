@@ -30,14 +30,14 @@ type coordServer struct {
 
 func startCoord(t *testing.T, addr string, opts Options) *coordServer {
 	t.Helper()
-	coord, err := NewCoordinator(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := NewCoordinator(opts)
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	var ln net.Listener
+	var (
+		ln  net.Listener
+		err error
+	)
 	// The predecessor's sockets may linger briefly after Close; retry the
 	// bind rather than flaking.
 	for deadline := time.Now().Add(10 * time.Second); ; {
@@ -440,8 +440,8 @@ func TestChaosConduitCampaign(t *testing.T) {
 }
 
 // TestChaosHedgedSubmit pins one worker to a long artificial submit delay:
-// with hedging on, the coordinator re-issues slow submits to the next
-// backend and the fast worker wins the race, keeping the campaign moving.
+// with hedging on, the coordinator re-issues slow submits to each job's
+// second-ranked worker and the fast worker wins the race, keeping the campaign moving.
 func TestChaosHedgedSubmit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e is not a -short test")

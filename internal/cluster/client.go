@@ -11,12 +11,11 @@ import (
 	"time"
 )
 
-// Worker is one farm node as the coordinator sees it: a routable base URL
-// and a Maglev weight (capacity share; 0 or negative means 1).
+// Worker is one farm node as the coordinator sees it: a name, which routing
+// hashes, and a base URL.
 type Worker struct {
-	Name   string `json:"name"`
-	URL    string `json:"url"`
-	Weight int    `json:"weight,omitempty"`
+	Name string `json:"name"`
+	URL  string `json:"url"`
 }
 
 // registerBackoff paces registration retries: a worker often boots before
@@ -28,8 +27,7 @@ const (
 
 // RegisterWorker announces a worker to the coordinator, retrying with
 // full-jitter exponential backoff until the coordinator answers or ctx ends.
-// Registration is idempotent: re-registering the same name updates its URL
-// and weight.
+// Registration is idempotent: re-registering the same name updates its URL.
 func RegisterWorker(ctx context.Context, hc *http.Client, coordinatorURL string, w Worker) error {
 	if hc == nil {
 		hc = http.DefaultClient
@@ -76,8 +74,8 @@ func RegisterWorker(ctx context.Context, hc *http.Client, coordinatorURL string,
 }
 
 // DeregisterWorker removes a worker from the coordinator's backend set, used
-// for clean shutdowns so the Maglev table reconverges immediately instead of
-// waiting for the health checker to notice. A missing worker is not an error.
+// for clean shutdowns so its jobs move immediately instead of waiting for the
+// health checker to notice. A missing worker is not an error.
 func DeregisterWorker(ctx context.Context, hc *http.Client, coordinatorURL, name string) error {
 	if hc == nil {
 		hc = http.DefaultClient

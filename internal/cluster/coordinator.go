@@ -1,13 +1,14 @@
 // Package cluster turns N independent cpelide-server processes into one
 // experiment farm. A Coordinator fronts the workers: submissions are routed
-// by their content hash through a Maglev table (weighted, minimal disruption
-// on membership change), worker health is polled continuously, and jobs
-// tracked on a dead worker are resubmitted to the surviving ones. Because
-// job IDs are content hashes of deterministic simulations, re-execution
-// after a reroute returns byte-identical results — the cluster offers
-// at-most-once observable semantics without distributed consensus. Workers
-// pointed at one shared diskstore directory make reroutes and restarts
-// cheap: the new owner usually finds the result already on disk.
+// by their content hash with rendezvous hashing over the healthy workers
+// (only a departing worker's jobs move), worker health is polled
+// continuously, and jobs tracked on a dead worker are resubmitted to the
+// surviving ones. Because job IDs are content hashes of deterministic
+// simulations, re-execution after a reroute returns byte-identical
+// results — the cluster offers at-most-once observable semantics without
+// distributed consensus. Workers pointed at one shared diskstore directory
+// make reroutes and restarts cheap: the new owner usually finds the result
+// already on disk.
 package cluster
 
 import (
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/cluster/journal"
-	"repro/internal/cluster/maglev"
 	"repro/internal/metrics"
 )
 
@@ -68,9 +68,10 @@ type Options struct {
 	Transport http.RoundTripper
 	// HedgeAfter, when > 0, enables hedged submits: if a routed job's
 	// owner has not answered within this fixed delay, the job is re-issued
-	// to the next healthy Maglev backend and the first conclusive answer
-	// wins. Safe because jobs are content-addressed: duplicate execution
-	// returns byte-identical results.
+	// to its second-ranked healthy worker — where it would be rerouted if
+	// the owner died — and the first conclusive answer wins. Safe because
+	// jobs are content-addressed: duplicate execution returns byte-identical
+	// results.
 	HedgeAfter time.Duration
 }
 
@@ -100,29 +101,27 @@ type Coordinator struct {
 	jnl  *journal.Journal
 
 	mu      sync.Mutex
-	table   *maglev.Table
 	workers map[string]*workerState
 	jobs    map[string]*trackedJob
 
 	routed      map[string]*metrics.Counter // per-node jobs routed
 	reroutes    *metrics.Counter
 	proxyErrors *metrics.Counter
-	remapped    *metrics.Counter
-	rebuilds    *metrics.Counter
 	journalErrs *metrics.Counter
 	replayed    *metrics.Counter
 	hedges      *metrics.Counter
 	hedgeWins   *metrics.Counter
 	submitLat   *metrics.Histogram
 
-	replaying  atomic.Bool // one replayUnplaced goroutine at a time
-	healthWG   sync.WaitGroup
-	healthStop chan struct{}
+	replaying atomic.Bool // one replayUnplaced goroutine at a time
+	healthWG  sync.WaitGroup
+	ctx       context.Context // canceled by Close; parents health probes
+	stop      context.CancelFunc
 }
 
 // NewCoordinator builds a coordinator and starts its health loop. Call
 // Close to stop it.
-func NewCoordinator(o Options) (*Coordinator, error) {
+func NewCoordinator(o Options) *Coordinator {
 	if o.HealthInterval <= 0 {
 		o.HealthInterval = 250 * time.Millisecond
 	}
@@ -132,34 +131,25 @@ func NewCoordinator(o Options) (*Coordinator, error) {
 	if o.ProxyTimeout <= 0 {
 		o.ProxyTimeout = 30 * time.Second
 	}
-	t, err := maglev.New(maglev.SmallM)
-	if err != nil {
-		return nil, err
-	}
 	log := o.Logger
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	c := &Coordinator{
-		opts:       o,
-		hc:         &http.Client{Timeout: o.ProxyTimeout, Transport: o.Transport},
-		log:        log,
-		reg:        o.Metrics,
-		jnl:        o.Journal,
-		table:      t,
-		workers:    make(map[string]*workerState),
-		jobs:       make(map[string]*trackedJob),
-		routed:     make(map[string]*metrics.Counter),
-		healthStop: make(chan struct{}),
+		opts:    o,
+		hc:      &http.Client{Timeout: o.ProxyTimeout, Transport: o.Transport},
+		log:     log,
+		reg:     o.Metrics,
+		jnl:     o.Journal,
+		workers: make(map[string]*workerState),
+		jobs:    make(map[string]*trackedJob),
+		routed:  make(map[string]*metrics.Counter),
 	}
+	c.ctx, c.stop = context.WithCancel(context.Background())
 	c.reroutes = c.reg.Counter("cluster_reroutes_total",
 		"Jobs replayed onto a surviving worker after their owner died.")
 	c.proxyErrors = c.reg.Counter("cluster_proxy_errors_total",
 		"Failed round-trips to workers (the request may still succeed on retry).")
-	c.remapped = c.reg.Counter("cluster_maglev_remapped_slots_total",
-		"Lookup-table slots that changed owner across all rebuilds.")
-	c.rebuilds = c.reg.Counter("cluster_maglev_rebuilds_total",
-		"Maglev table rebuilds from membership or health changes.")
 	c.journalErrs = c.reg.Counter("cluster_journal_errors_total",
 		"Journal appends that failed (recovery coverage degraded, requests unaffected).")
 	c.replayed = c.reg.Counter("cluster_journal_replayed_total",
@@ -219,7 +209,7 @@ func NewCoordinator(o Options) (*Coordinator, error) {
 	}
 	c.healthWG.Add(1)
 	go c.healthLoop()
-	return c, nil
+	return c
 }
 
 // recoverFromJournal loads the journal's replayed state — worker membership
@@ -235,17 +225,11 @@ func (c *Coordinator) recoverFromJournal() {
 			c.log.Error("journal: bad worker record", "name", name, "err", err)
 			continue
 		}
-		if w.Weight <= 0 {
-			w.Weight = 1
-		}
 		c.workers[w.Name] = &workerState{Worker: w, healthy: true}
 	}
 	pending := c.jnl.PendingJobs()
 	for id, body := range pending {
 		c.jobs[id] = &trackedJob{id: id, body: body}
-	}
-	if len(c.workers) > 0 {
-		c.rebuildLocked()
 	}
 	workers, jobs := len(c.workers), len(c.jobs)
 	c.mu.Unlock()
@@ -325,10 +309,10 @@ func (c *Coordinator) journalDone(id string) {
 	}
 }
 
-// Close stops the health loop and closes the journal. In-flight proxied
-// requests finish on their own timeouts.
+// Close stops the health loop, canceling a probe in flight, and closes the
+// journal. In-flight proxied requests finish on their own timeouts.
 func (c *Coordinator) Close() {
-	close(c.healthStop)
+	c.stop()
 	c.healthWG.Wait()
 	if c.jnl != nil {
 		if err := c.jnl.Close(); err != nil {
@@ -349,36 +333,13 @@ func (c *Coordinator) routedCounter(node string) *metrics.Counter {
 	return ctr
 }
 
-// rebuildLocked reprograms the Maglev table from the currently healthy
-// workers. Callers hold c.mu.
-func (c *Coordinator) rebuildLocked() {
-	weights := make(map[string]int)
-	for name, w := range c.workers {
-		if w.healthy {
-			weights[name] = w.Weight
-		}
-	}
-	moved, err := c.table.Apply(weights)
-	if err != nil {
-		// Apply only fails on invalid weights, which registration rejects.
-		c.log.Error("maglev rebuild", "err", err)
-		return
-	}
-	c.rebuilds.Inc()
-	c.remapped.Add(uint64(moved))
-	c.log.Info("maglev rebuilt", "healthy", len(weights), "remapped_slots", moved)
-}
-
-// Register adds or updates a worker and reprograms the routing table.
+// Register adds or updates a worker; the next routing decision includes it.
 // Re-registering an identical healthy worker is a no-op (workers retry
-// registration across coordinator restarts), so it neither churns the table
-// nor grows the journal.
+// registration across coordinator restarts), so it does not grow the
+// journal.
 func (c *Coordinator) Register(w Worker) error {
 	if w.Name == "" || w.URL == "" {
 		return fmt.Errorf("cluster: registration needs name and url, got %+v", w)
-	}
-	if w.Weight <= 0 {
-		w.Weight = 1
 	}
 	c.mu.Lock()
 	if prev, ok := c.workers[w.Name]; ok && prev.Worker == w && prev.healthy {
@@ -386,7 +347,6 @@ func (c *Coordinator) Register(w Worker) error {
 		return nil
 	}
 	c.workers[w.Name] = &workerState{Worker: w, healthy: true}
-	c.rebuildLocked()
 	c.mu.Unlock()
 	if c.jnl != nil {
 		body, err := json.Marshal(w)
@@ -398,7 +358,7 @@ func (c *Coordinator) Register(w Worker) error {
 			c.log.Error("journal worker", "node", w.Name, "err", err)
 		}
 	}
-	c.log.Info("worker registered", "node", w.Name, "url", w.URL, "weight", w.Weight)
+	c.log.Info("worker registered", "node", w.Name, "url", w.URL)
 	c.replayUnplaced()
 	return nil
 }
@@ -408,9 +368,6 @@ func (c *Coordinator) Deregister(name string) bool {
 	c.mu.Lock()
 	_, ok := c.workers[name]
 	delete(c.workers, name)
-	if ok {
-		c.rebuildLocked()
-	}
 	c.mu.Unlock()
 	if ok {
 		if c.jnl != nil {
@@ -442,7 +399,7 @@ type WorkerStatus struct {
 	Healthy bool `json:"healthy"`
 }
 
-// routeKey folds a content-hash job ID into the Maglev keyspace using its
+// routeKey folds a content-hash job ID into a 64-bit routing key using its
 // leading 16 hex digits (64 bits of SHA-256 is plenty for load spreading).
 func routeKey(id string) uint64 {
 	if len(id) > 16 {
@@ -452,33 +409,70 @@ func routeKey(id string) uint64 {
 	if err != nil {
 		// Non-hash IDs can only come from hand-built requests; any stable
 		// fold keeps them routable.
-		var h uint64 = 14695981039346656037
-		for i := 0; i < len(id); i++ {
-			h = (h ^ uint64(id[i])) * 1099511628211
-		}
-		return h
+		return fnv1a(id)
 	}
 	return v
 }
 
-// ownerOf resolves a job ID to its current owner.
-func (c *Coordinator) ownerOf(id string) (name, url string, err error) {
+// fnv1a is the 64-bit FNV-1a hash of s.
+func fnv1a(s string) uint64 {
+	var h uint64 = 14695981039346656037
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
+// splitmix64 is the splitmix64 finalizer: a bijection that spreads every
+// input bit over all 64 output bits.
+func splitmix64(v uint64) uint64 {
+	v ^= v >> 30
+	v *= 0xbf58476d1ce4e5b9
+	v ^= v >> 27
+	v *= 0x94d049bb133111eb
+	v ^= v >> 31
+	return v
+}
+
+// rendezvous picks the owner of key among names by rendezvous (highest
+// random weight) hashing: each name scores splitmix64(key ^ fnv1a(name))
+// and the highest score wins, ties going to the smaller name. The choice
+// ignores the order of names, and removing a name moves only the keys it
+// owned. Returns "" when names is empty.
+func rendezvous(key uint64, names []string) string {
+	best, bestScore := "", uint64(0)
+	for _, name := range names {
+		s := splitmix64(key ^ fnv1a(name))
+		if best == "" || s > bestScore || (s == bestScore && name < best) {
+			best, bestScore = name, s
+		}
+	}
+	return best
+}
+
+// route resolves a job ID to the highest-ranked healthy worker other than
+// skip. With skip == "" that is the job's owner; with skip == owner it is
+// the second-ranked worker — the hedge target, and where the job would be
+// rerouted if its owner died.
+func (c *Coordinator) route(id, skip string) (name, url string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	node, ok := c.table.Lookup(routeKey(id))
-	if !ok {
+	names := make([]string, 0, len(c.workers))
+	for n, w := range c.workers {
+		if w.healthy && n != skip {
+			names = append(names, n)
+		}
+	}
+	name = rendezvous(routeKey(id), names)
+	if name == "" {
 		return "", "", ErrNoWorkers
 	}
-	w := c.workers[node]
-	if w == nil {
-		return "", "", ErrNoWorkers
-	}
-	return node, w.URL, nil
+	return name, c.workers[name].URL, nil
 }
 
 // noteFailure records one failed round-trip to a worker; at FailThreshold
-// consecutive failures the worker is marked dead, the table reconverges,
-// and its jobs are replayed elsewhere.
+// consecutive failures the worker is marked dead, routing skips it, and its
+// jobs are replayed elsewhere.
 func (c *Coordinator) noteFailure(node string) {
 	c.proxyErrors.Inc()
 	c.mu.Lock()
@@ -489,7 +483,6 @@ func (c *Coordinator) noteFailure(node string) {
 		if w.fails >= c.opts.FailThreshold {
 			w.healthy = false
 			dead = true
-			c.rebuildLocked()
 		}
 	}
 	c.mu.Unlock()
@@ -500,7 +493,7 @@ func (c *Coordinator) noteFailure(node string) {
 }
 
 // noteSuccess clears a worker's consecutive-failure count and, if it was
-// dead, brings it back and reconverges the table.
+// dead, brings it back into routing.
 func (c *Coordinator) noteSuccess(node string) {
 	c.mu.Lock()
 	w := c.workers[node]
@@ -510,7 +503,6 @@ func (c *Coordinator) noteSuccess(node string) {
 		if !w.healthy {
 			w.healthy = true
 			revived = true
-			c.rebuildLocked()
 		}
 	}
 	c.mu.Unlock()
@@ -519,6 +511,11 @@ func (c *Coordinator) noteSuccess(node string) {
 	}
 }
 
+// probeTimeout bounds one /healthz probe. A worker that accepts connections
+// but never answers (wedged, or stopped with SIGSTOP) fails its probe after
+// this long instead of holding the health loop for ProxyTimeout.
+const probeTimeout = time.Second
+
 // healthLoop probes every worker's /healthz at HealthInterval.
 func (c *Coordinator) healthLoop() {
 	defer c.healthWG.Done()
@@ -526,7 +523,7 @@ func (c *Coordinator) healthLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.healthStop:
+		case <-c.ctx.Done():
 			return
 		case <-tick.C:
 		}
@@ -537,27 +534,37 @@ func (c *Coordinator) healthLoop() {
 		}
 		c.mu.Unlock()
 		for name, url := range targets {
-			req, err := http.NewRequest(http.MethodGet, url+"/healthz", nil)
-			if err != nil {
-				c.noteFailure(name)
-				continue
+			ok := c.probe(url)
+			if c.ctx.Err() != nil {
+				return // Close canceled the probe; its failure means nothing
 			}
-			resp, err := c.hc.Do(req)
-			if err != nil {
-				c.noteFailure(name)
-				continue
-			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
+			if ok {
 				c.noteSuccess(name)
 			} else {
-				// A draining worker answers 503: stop routing new jobs to
-				// it and move its unfinished ones.
+				// Unreachable, or a draining worker's 503: stop routing new
+				// jobs to it and move its unfinished ones.
 				c.noteFailure(name)
 			}
 		}
 	}
+}
+
+// probe reports whether the worker at url answers /healthz with 200 within
+// probeTimeout.
+func (c *Coordinator) probe(url string) bool {
+	ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return false
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
 }
 
 // placeAttempts bounds how many distinct placements a job gets before it is
@@ -568,7 +575,7 @@ const (
 )
 
 // place submits a tracked job to its current owner, retrying (and letting
-// failure-driven table rebuilds pick new owners) until a worker accepts it.
+// failure-driven health changes pick new owners) until a worker accepts it.
 func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response, error) {
 	var last error
 	for attempt := 0; attempt < placeAttempts; attempt++ {
@@ -580,7 +587,7 @@ func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response
 			case <-time.After(time.Duration(rand.Int63n(int64(delay) + 1))):
 			}
 		}
-		node, url, err := c.ownerOf(tj.id)
+		node, url, err := c.route(tj.id, "")
 		if err != nil {
 			last = err
 			continue
@@ -638,29 +645,6 @@ func (c *Coordinator) submitTo(ctx context.Context, url string, body []byte) (*h
 	return resp, err
 }
 
-// nextBackend returns the healthy worker after node in sorted-name order —
-// the deterministic hedge target.
-func (c *Coordinator) nextBackend(node string) (string, string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var names []string
-	for name, ws := range c.workers {
-		if ws.healthy && name != node {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return "", "", false
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if n > node {
-			return n, c.workers[n].URL, true
-		}
-	}
-	return names[0], c.workers[names[0]].URL, true
-}
-
 // submitResult is one hedged attempt's outcome.
 type submitResult struct {
 	resp *http.Response
@@ -699,8 +683,8 @@ func (c *Coordinator) launchSubmit(ctx context.Context, node, url string, body [
 }
 
 // submitHedged posts a job to its owner and, when hedging is enabled and
-// the owner is slow, races a second attempt against the next healthy
-// backend. The first conclusive answer (anything but a transport error,
+// the owner is slow, races a second attempt against the job's
+// second-ranked healthy worker. The first conclusive answer (anything but a transport error,
 // backpressure, or a 5xx) wins; the straggler is reaped in the background.
 // Returns the winning response and the node that produced it.
 func (c *Coordinator) submitHedged(ctx context.Context, tj *trackedJob, node, url string) (*http.Response, string, error) {
@@ -723,8 +707,8 @@ func (c *Coordinator) submitHedged(ctx context.Context, tj *trackedJob, node, ur
 			// the results channel is buffered so they never block.
 			return nil, node, ctx.Err()
 		case <-timer.C:
-			hNode, hURL, ok := c.nextBackend(node)
-			if !ok || outstanding != 1 {
+			hNode, hURL, err := c.route(tj.id, node)
+			if err != nil || outstanding != 1 {
 				continue
 			}
 			hedgeNode = hNode

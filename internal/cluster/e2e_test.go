@@ -71,15 +71,12 @@ func TestClusterE2E(t *testing.T) {
 	storeDir := t.TempDir()
 
 	reg := metrics.NewRegistry()
-	coord, err := NewCoordinator(Options{
+	coord := NewCoordinator(Options{
 		HealthInterval: 20 * time.Millisecond,
 		FailThreshold:  2,
 		ProxyTimeout:   5 * time.Second,
 		Metrics:        reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	coordTS := httptest.NewServer(coord.Handler())
 	workers := []*e2eWorker{
 		newE2EWorker(t, "w1", storeDir),
@@ -135,8 +132,7 @@ func TestClusterE2E(t *testing.T) {
 	t.Logf("campaign 1: %.1f jobs/s, p99 %.1fms, resubmits %d, hit rate %.2f",
 		res.ThroughputJPS, res.P99MS, res.Resubmits, res.CacheHitRate)
 
-	// The kill must have been noticed: two healthy workers and at least one
-	// Maglev reconvergence beyond the three registrations.
+	// The kill must have been noticed: two healthy workers.
 	mresp, err := http.Get(coordTS.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -145,9 +141,6 @@ func TestClusterE2E(t *testing.T) {
 	mresp.Body.Close()
 	if v, ok := metrics.ParseValue(string(expo), "cluster_workers_healthy"); !ok || v != 2 {
 		t.Errorf("cluster_workers_healthy = %v (ok=%v), want 2", v, ok)
-	}
-	if v, ok := metrics.ParseValue(string(expo), "cluster_maglev_rebuilds_total"); !ok || v < 4 {
-		t.Errorf("cluster_maglev_rebuilds_total = %v (ok=%v), want >= 4", v, ok)
 	}
 
 	// Stop the whole first deployment.
@@ -158,13 +151,10 @@ func TestClusterE2E(t *testing.T) {
 
 	// Restart story: new coordinator, one brand-new worker, same store dir.
 	// Every result must come off disk — zero new simulations.
-	coord2, err := NewCoordinator(Options{
+	coord2 := NewCoordinator(Options{
 		HealthInterval: 20 * time.Millisecond,
 		Metrics:        metrics.NewRegistry(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer coord2.Close()
 	coordTS2 := httptest.NewServer(coord2.Handler())
 	defer coordTS2.Close()

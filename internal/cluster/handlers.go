@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster/maglev"
 	"repro/internal/farm"
 	"repro/internal/server"
 )
@@ -274,10 +273,9 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // it unchanged) plus per-node breakdowns and routing state.
 type ClusterStats struct {
 	server.StatsResponse
-	Nodes     map[string]*server.StatsResponse `json:"nodes"`
-	Healthy   int                              `json:"healthy_workers"`
-	Tracked   int                              `json:"jobs_tracked"`
-	MaglevLen int                              `json:"maglev_table_size"`
+	Nodes   map[string]*server.StatsResponse `json:"nodes"`
+	Healthy int                              `json:"healthy_workers"`
+	Tracked int                              `json:"jobs_tracked"`
 }
 
 // handleStats aggregates every healthy worker's /v1/stats. Unreachable
@@ -297,10 +295,9 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 
 	out := ClusterStats{
-		Nodes:     make(map[string]*server.StatsResponse, len(targets)),
-		Healthy:   healthy,
-		Tracked:   tracked,
-		MaglevLen: maglev.SmallM,
+		Nodes:   make(map[string]*server.StatsResponse, len(targets)),
+		Healthy: healthy,
+		Tracked: tracked,
 	}
 	for name, url := range targets {
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url+"/v1/stats", nil)

@@ -395,7 +395,8 @@ func writeErr(w http.ResponseWriter, status int, code string, format string, arg
 
 // handleSubmit accepts a job (202), reports an already-known job's state
 // (200), sheds load when the queue is full (429), or rejects during
-// shutdown (503).
+// shutdown (503). A job that failed is accepted again: the farm caches no
+// failures, so the resubmission runs it anew.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -415,10 +416,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	if sj, ok := s.jobs[id]; ok {
-		s.mu.Unlock()
-		status, _, errMsg := sj.snapshot()
-		writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: status, Error: errMsg})
-		return
+		if status, _, errMsg := sj.snapshot(); status != "error" {
+			s.mu.Unlock()
+			writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: status, Error: errMsg})
+			return
+		}
 	}
 	if s.draining {
 		s.mu.Unlock()

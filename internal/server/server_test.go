@@ -110,6 +110,40 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestResubmitFailedJob: resubmitting a job that failed replaces its
+// registry entry and runs it again (202), as the farm caches no failures.
+func TestResubmitFailedJob(t *testing.T) {
+	eng := farm.New(farm.Options{Workers: 1})
+	defer eng.Close()
+	s := New(eng, 4)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+
+	body := `{"workload":"nope"}`
+	code, sr := post(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: got %d, want 202", code)
+	}
+	waitStatus(t, ts, sr.ID, "error")
+	if e := eng.Counters().Errors; e != 1 {
+		t.Fatalf("farm errors after the first run = %d, want 1", e)
+	}
+
+	code, sr2 := post(t, ts, body)
+	if code != http.StatusAccepted || sr2.ID != sr.ID {
+		t.Fatalf("resubmit of a failed job: got %d %+v, want 202 for %s", code, sr2, sr.ID)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.Counters().Errors != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("farm errors = %d after the resubmit, want 2", eng.Counters().Errors)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitStatus(t, ts, sr.ID, "error")
+}
+
 // TestBurstBackpressureAndDrain floods a 1-worker, 1-slot-queue server with
 // distinct jobs: the server must answer every request with 202/429 only
 // (no hangs, no other codes), every accepted job must reach a terminal

@@ -6,7 +6,10 @@
 #   1. loadgen exits nonzero if any job is lost or failed — the campaign must
 #      complete 200/200 across the kill.
 #   2. The coordinator must have noticed: cluster_workers_healthy == 2.
-#   3. A brand-new worker over the same store directory must serve a replay
+#   3. A hung worker (SIGSTOP: it still accepts connections but never
+#      answers) is marked dead within 5 s (cluster_workers_healthy == 1), and
+#      after SIGCONT it is revived within 5 s (back to 2).
+#   4. A brand-new worker over the same store directory must serve a replay
 #      of the campaign with zero new simulations (runs == 0).
 #
 # Writes a combined BENCH_cluster.json (schema cluster/v1) with the 3-node
@@ -80,6 +83,24 @@ HEALTHY=$(awk '$1 == "cluster_workers_healthy" { print $2 }' <<<"$METRICS")
 JERRS=$(awk '$1 == "cluster_journal_errors_total" { print $2 }' <<<"$METRICS")
 [ "${JERRS:-0}" = 0 ] || { echo "cluster_journal_errors_total = $JERRS, want 0" >&2; exit 1; }
 grep '^cluster_' <<<"$METRICS"
+
+# Hang w3 and wake it again: the health loop's bounded probes must notice both.
+wait_healthy() { # want
+  local got
+  for _ in $(seq 1 50); do
+    got=$(curl -fsS "$COORD/metrics" | awk '$1 == "cluster_workers_healthy" { print $2 }')
+    [ "$got" = "$1" ] && return
+    sleep 0.1
+  done
+  echo "cluster_workers_healthy = $got after 5s, want $1" >&2
+  exit 1
+}
+kill -STOP "${WPID[3]}"
+wait_healthy 1
+echo "stopped w3: marked dead"
+kill -CONT "${WPID[3]}"
+wait_healthy 2
+echo "continued w3: revived"
 
 cleanup
 PIDS=()
