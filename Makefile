@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint cpelint fmt bench bench-gate cluster loadgen cluster-smoke chaos-smoke
+.PHONY: all build test race lint cpelint fmt bench bench-gate paper-digests cluster loadgen cluster-smoke chaos-smoke
 
 all: build test lint
 
@@ -56,6 +56,11 @@ chaos-smoke:
 # Re-measure the committed performance baseline (run on a quiet machine).
 bench:
 	$(GO) run ./cmd/bench -out BENCH_core.json
+
+# The CI whole-matrix lock, locally: one SHA-256 per simulated run of
+# paper-figures -scale 0.1, diffed against testdata/paper_digests.json.
+paper-digests:
+	@bash scripts/paper_digests.sh
 
 # The CI regression gate, locally: measure now, compare the
 # machine-independent metrics against the committed baseline.

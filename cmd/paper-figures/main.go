@@ -12,16 +12,26 @@
 //	paper-figures -scale 0.25     # quick pass at reduced footprints
 //	paper-figures -workers 1      # serial execution (same bytes, slower)
 //	paper-figures -farm-trace farm.json   # Perfetto timeline of the farm
+//	paper-figures -scale 0.1 -workers 2 -digest digests.json   # per-run SHA-256s
+//
+// -digest writes one SHA-256 of each simulated run's report JSON, keyed by
+// the run's farm job key, as a sorted JSON object with one key per line.
+// scripts/paper_digests.sh diffs it against testdata/paper_digests.json,
+// which locks every report of the -scale 0.1 matrix.
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strings"
+	"sync"
 
+	"repro"
 	"repro/internal/experiments"
 	"repro/internal/farm"
 	"repro/internal/trace"
@@ -40,6 +50,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "farm worker goroutines (0 = all CPUs, 1 = serial)")
 		farmTr   = flag.String("farm-trace", "", "write a Chrome/Perfetto trace of farm activity to this file")
 		farmSt   = flag.Bool("farm-stats", false, "print farm cache/run counters on exit")
+		digest   = flag.String("digest", "", "write a SHA-256 of every simulated run's report JSON, keyed by farm job key, to this file")
 	)
 	flag.Parse()
 	emitJSON = *asJSON
@@ -48,7 +59,13 @@ func main() {
 	if *farmTr != "" {
 		rec = trace.New(1 << 20)
 	}
-	eng := farm.New(farm.Options{Workers: *workers, Trace: rec})
+	var digests *digestStore
+	opts := farm.Options{Workers: *workers, Trace: rec}
+	if *digest != "" {
+		digests = &digestStore{sums: map[string]string{}}
+		opts.Store = digests
+	}
+	eng := farm.New(opts)
 	defer eng.Close()
 
 	p := experiments.Params{Scale: *scale, Iters: *iters, Farm: eng}
@@ -121,6 +138,11 @@ func main() {
 		}
 		log.Printf("wrote farm trace to %s", *farmTr)
 	}
+	if digests != nil {
+		if err := digests.write(*digest); err != nil {
+			log.Fatal(err)
+		}
+	}
 	if *farmSt {
 		c := eng.Counters()
 		fmt.Fprintf(os.Stderr, "farm: jobs=%d runs=%d cache-hits=%d dedup-waits=%d evictions=%d\n",
@@ -143,4 +165,37 @@ func show(res *experiments.Result, err error) {
 		return
 	}
 	fmt.Println(res)
+}
+
+// digestStore is a farm.Store that never hits and records a SHA-256 of each
+// report written back, so every simulated run (and only those) is digested.
+type digestStore struct {
+	mu   sync.Mutex
+	sums map[string]string
+}
+
+func (d *digestStore) Get(string) (*cpelide.Report, bool, error) { return nil, false, nil }
+
+func (d *digestStore) Put(key string, rep *cpelide.Report) error {
+	b, err := json.Marshal(rep)
+	if err != nil {
+		return err
+	}
+	sum := sha256.Sum256(b)
+	d.mu.Lock()
+	d.sums[key] = hex.EncodeToString(sum[:])
+	d.mu.Unlock()
+	return nil
+}
+
+// write saves the digests as a JSON object with sorted keys, one per line,
+// so a plain diff names the runs that changed.
+func (d *digestStore) write(path string) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	b, err := json.MarshalIndent(d.sums, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -103,7 +103,7 @@ func (m *Machine) bind(bounds mem.Range, sheet *stats.Sheet) error {
 	if err != nil {
 		return err
 	}
-	fabric, err := noc.New(m.Cfg.NumChiplets, m.Cfg.FlitSize, sheet, m.Cfg.GPUOf)
+	fabric, err := noc.New(m.Cfg.NumChiplets, m.Cfg.FlitSize, sheet, m.Cfg.ChipletsPerGPU())
 	if err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func (m *Machine) SetFaults(inj *faults.Injector) {
 // active link-degradation window multiplies it.
 func (m *Machine) RemoteLatency(from, to int) int {
 	lat := m.Cfg.L2RemoteLatency
-	if m.Cfg.GPUOf(from) != m.Cfg.GPUOf(to) {
+	if m.Fabric.InterGPU(from, to) {
 		lat = m.Cfg.CrossGPULatency
 	}
 	if m.Faults.LinkDegraded() {

@@ -317,6 +317,31 @@ func TestCrossGPULatencyAndTraffic(t *testing.T) {
 	}
 }
 
+// TestInterGPUMatchesConfig pins the fabric's chiplets-per-package mapping
+// to config.GPU.GPUOf for single-package and MGPU configurations: every
+// chiplet pair crosses the inter-GPU link, and pays CrossGPULatency, exactly
+// when GPUOf puts the two on different packages.
+func TestInterGPUMatchesConfig(t *testing.T) {
+	for _, tc := range []struct{ chiplets, gpus int }{{1, 1}, {4, 1}, {7, 1}, {4, 2}, {8, 2}, {8, 4}, {6, 3}} {
+		g := smallCfg()
+		g.NumChiplets, g.NumGPUs = tc.chiplets, tc.gpus
+		m := must(New(g, mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 8<<20}, stats.New()))
+		for from := 0; from < tc.chiplets; from++ {
+			for to := 0; to < tc.chiplets; to++ {
+				cross := g.GPUOf(from) != g.GPUOf(to)
+				want := g.L2RemoteLatency
+				if cross {
+					want = g.CrossGPULatency
+				}
+				if m.Fabric.InterGPU(from, to) != cross || m.RemoteLatency(from, to) != want {
+					t.Errorf("%d chiplets / %d GPUs, %d->%d: InterGPU %v latency %d, GPUOf says cross=%v latency %d",
+						tc.chiplets, tc.gpus, from, to, m.Fabric.InterGPU(from, to), m.RemoteLatency(from, to), cross, want)
+				}
+			}
+		}
+	}
+}
+
 // must unwraps constructor errors in tests, where geometry is known-valid.
 func must[T any](v T, err error) T {
 	if err != nil {

@@ -7,16 +7,20 @@ import "fmt"
 // coherence protocol composes Read/Write/Fill/Flush/Invalidate primitives
 // into write-back, write-through, and forwarding behaviors.
 //
-// Within each set, ways are kept in LRU order: index 0 is the most recently
-// used line and the last valid index is the eviction victim.
+// Within each set, the valid lines are a counted prefix of the ways, kept in
+// LRU order: index 0 is the most recently used line and index n-1 the
+// eviction victim. Probes compare only those n tags, a miss fills slot n
+// without searching for a free way, and invalidating a line shifts the later
+// ways down one slot, so the order of the survivors never changes.
 //
 // Two representation choices make the whole-cache maintenance operations the
 // protocols issue at every kernel boundary cheap:
 //
-//   - Validity is an epoch: a way is valid iff its epoch equals the cache's.
-//     InvalidateAll is then O(1) — bump the epoch — instead of a memclr of
-//     the whole way array (the epoch is 16 bits; on wrap the array really is
-//     cleared once).
+//   - Validity is an epoch: a set's count n holds iff the set's record
+//     carries the cache's epoch; otherwise the set is empty, and its record
+//     is reset the first time a fill touches it. InvalidateAll is then O(1)
+//     — bump the epoch — instead of a clear of every set (the epoch is 16
+//     bits; on wrap the per-set records really are cleared once).
 //   - A per-set dirty bitmap records which sets may hold dirty lines, so
 //     FlushAll and large FlushRanges walk only those sets (in ascending set
 //     order, preserving the exact commit order of the full walk) instead of
@@ -27,7 +31,8 @@ type Cache struct {
 	numSets   uint64
 	assoc     int
 	setsPow2  bool
-	sets      []way // numSets * assoc, flattened
+	ways      []way    // numSets * assoc, flattened
+	sets      []setRec // one per set
 	epoch     uint16
 
 	// dirtySets has one bit per set, set when a way in the set becomes
@@ -35,7 +40,7 @@ type Cache struct {
 	// bit (all its dirty lines invalidated or cleaned individually) only
 	// costs that walk one wasted scan. For caches of up to
 	// 64*len(dirtyInline) sets (every per-CU L1) it aliases dirtyInline,
-	// avoiding a second allocation per cache; Cache is never copied by
+	// avoiding another allocation per cache; Cache is never copied by
 	// value, so the self-reference is safe.
 	dirtySets   []uint64
 	dirtyInline [4]uint64
@@ -47,8 +52,14 @@ type Cache struct {
 type way struct {
 	tag   Addr   // line address (low bits zero)
 	ver   uint32 // data version carried by the line
-	epoch uint16 // valid iff equal to the cache's epoch (0 is never current)
 	dirty bool
+}
+
+// setRec records a set's valid ways: ways[0:n) when epoch equals the
+// cache's epoch, none otherwise (0 is never current).
+type setRec struct {
+	epoch uint16
+	n     uint16
 }
 
 // EvictInfo describes a line displaced by a Fill.
@@ -67,6 +78,10 @@ func NewCache(name string, size, assoc, lineSize int) (*Cache, error) {
 		return nil, fmt.Errorf("%w: cache %s dimensions must be positive (size=%d assoc=%d lineSize=%d)",
 			ErrGeometry, name, size, assoc, lineSize)
 	}
+	if assoc > 1<<16-1 {
+		return nil, fmt.Errorf("%w: cache %s associativity %d exceeds %d",
+			ErrGeometry, name, assoc, 1<<16-1)
+	}
 	if size%(assoc*lineSize) != 0 {
 		return nil, fmt.Errorf("%w: cache %s size %d is not a multiple of assoc*lineSize (%d*%d)",
 			ErrGeometry, name, size, assoc, lineSize)
@@ -83,7 +98,8 @@ func NewCache(name string, size, assoc, lineSize int) (*Cache, error) {
 		numSets:   numSets,
 		assoc:     assoc,
 		setsPow2:  numSets&(numSets-1) == 0,
-		sets:      make([]way, numSets*uint64(assoc)),
+		ways:      make([]way, numSets*uint64(assoc)),
+		sets:      make([]setRec, numSets),
 		epoch:     1,
 	}
 	if words := (numSets + 63) / 64; words <= uint64(len(c.dirtyInline)) {
@@ -95,10 +111,11 @@ func NewCache(name string, size, assoc, lineSize int) (*Cache, error) {
 }
 
 // NewCacheArray builds count caches of identical geometry sharing a single
-// way-array allocation. Machines build hundreds of per-CU L1s; allocating
-// them individually costs two allocations per cache, which dominates
-// machine-construction allocation counts. The returned slice never moves,
-// so taking the address of an element is safe.
+// way-array allocation and a single set-record allocation. Machines build
+// hundreds of per-CU L1s; allocating them individually costs three
+// allocations per cache, which dominates machine-construction allocation
+// counts. The returned slice never moves, so taking the address of an
+// element is safe.
 func NewCacheArray(name string, count, size, assoc, lineSize int) ([]Cache, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("%w: cache %s array count %d must be positive", ErrGeometry, name, count)
@@ -107,13 +124,15 @@ func NewCacheArray(name string, count, size, assoc, lineSize int) ([]Cache, erro
 	if err != nil {
 		return nil, err
 	}
-	lines := proto.numSets * uint64(proto.assoc)
-	backing := make([]way, lines*uint64(count))
-	words := (proto.numSets + 63) / 64
+	sets, lines := proto.numSets, proto.numSets*uint64(proto.assoc)
+	ways := make([]way, lines*uint64(count))
+	recs := make([]setRec, sets*uint64(count))
+	words := (sets + 63) / 64
 	arr := make([]Cache, count)
 	for i := range arr {
 		arr[i] = *proto
-		arr[i].sets = backing[uint64(i)*lines : uint64(i+1)*lines : uint64(i+1)*lines]
+		arr[i].ways = ways[uint64(i)*lines : uint64(i+1)*lines : uint64(i+1)*lines]
+		arr[i].sets = recs[uint64(i)*sets : uint64(i+1)*sets : uint64(i+1)*sets]
 		if words <= uint64(len(arr[i].dirtyInline)) {
 			arr[i].dirtySets = arr[i].dirtyInline[:words]
 		} else {
@@ -150,22 +169,24 @@ func (c *Cache) setIndex(line Addr) uint64 {
 	return idx % c.numSets
 }
 
-// set returns the ways of the set holding line.
+// valid returns the valid ways of set si, in LRU order.
 //
 //cpelide:noalloc
-func (c *Cache) set(line Addr) []way {
-	s := c.setIndex(line) * uint64(c.assoc)
-	return c.sets[s : s+uint64(c.assoc)]
+func (c *Cache) valid(si uint64) []way {
+	base := si * uint64(c.assoc)
+	if r := c.sets[si]; r.epoch == c.epoch {
+		return c.ways[base : base+uint64(r.n)]
+	}
+	return c.ways[base:base]
 }
 
-// setWithIndex returns the ways of the set holding line plus the set index,
+// lookup returns the valid ways of the set holding line, plus the set index
 // for callers that also maintain the dirty bitmap.
 //
 //cpelide:noalloc
-func (c *Cache) setWithIndex(line Addr) ([]way, uint64) {
+func (c *Cache) lookup(line Addr) ([]way, uint64) {
 	si := c.setIndex(line)
-	s := si * uint64(c.assoc)
-	return c.sets[s : s+uint64(c.assoc)], si
+	return c.valid(si), si
 }
 
 //cpelide:noalloc
@@ -185,14 +206,28 @@ func moveToFront(ways []way, i int) {
 	ways[0] = w
 }
 
+// drop removes ways[i] from set si's valid prefix ways, shifting the later
+// ways down one slot so the survivors keep their LRU order.
+//
+//cpelide:noalloc
+func (c *Cache) drop(si uint64, ways []way, i int) {
+	w := ways[i]
+	if w.dirty {
+		c.dirtyLines--
+	}
+	c.validLines--
+	copy(ways[i:], ways[i+1:])
+	c.sets[si].n--
+}
+
 // Read looks up line. On a hit it returns the cached version, promotes the
 // line to MRU, and reports hit=true. It never allocates.
 //
 //cpelide:noalloc
 func (c *Cache) Read(line Addr) (ver uint32, hit bool) {
-	ways := c.set(line)
+	ways, _ := c.lookup(line)
 	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == line {
+		if ways[i].tag == line {
 			moveToFront(ways, i)
 			return ways[0].ver, true
 		}
@@ -204,9 +239,9 @@ func (c *Cache) Read(line Addr) (ver uint32, hit bool) {
 //
 //cpelide:noalloc
 func (c *Cache) Peek(line Addr) (ver uint32, dirty, hit bool) {
-	ways := c.set(line)
+	ways, _ := c.lookup(line)
 	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == line {
+		if ways[i].tag == line {
 			return ways[i].ver, ways[i].dirty, true
 		}
 	}
@@ -220,9 +255,9 @@ func (c *Cache) Peek(line Addr) (ver uint32, dirty, hit bool) {
 //
 //cpelide:noalloc
 func (c *Cache) Write(line Addr, ver uint32) bool {
-	ways, si := c.setWithIndex(line)
+	ways, si := c.lookup(line)
 	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == line {
+		if ways[i].tag == line {
 			if !ways[i].dirty {
 				c.dirtyLines++
 				c.markDirtySet(si)
@@ -242,9 +277,9 @@ func (c *Cache) Write(line Addr, ver uint32) bool {
 //
 //cpelide:noalloc
 func (c *Cache) UpdateClean(line Addr, ver uint32) bool {
-	ways := c.set(line)
+	ways, _ := c.lookup(line)
 	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == line {
+		if ways[i].tag == line {
 			moveToFront(ways, i)
 			if ways[0].dirty {
 				ways[0].dirty = false
@@ -263,10 +298,10 @@ func (c *Cache) UpdateClean(line Addr, ver uint32) bool {
 //
 //cpelide:noalloc
 func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
-	ways, si := c.setWithIndex(line)
+	ways, si := c.lookup(line)
 	// Already present: update in place.
 	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == line {
+		if ways[i].tag == line {
 			moveToFront(ways, i)
 			if dirty && !ways[0].dirty {
 				c.dirtyLines++
@@ -280,31 +315,25 @@ func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
 			return EvictInfo{}
 		}
 	}
-	// Prefer an invalid way.
-	victim := -1
-	for i := range ways {
-		if ways[i].epoch != c.epoch {
-			victim = i
-			break
-		}
-	}
+	// Take the first free way, or evict the LRU one when the set is full.
 	var ev EvictInfo
-	if victim < 0 {
-		victim = len(ways) - 1
-		w := ways[victim]
+	if n := len(ways); n < c.assoc {
+		c.sets[si] = setRec{epoch: c.epoch, n: uint16(n + 1)}
+		ways = ways[:n+1]
+		c.validLines++
+	} else {
+		w := ways[n-1]
 		ev = EvictInfo{Evicted: true, Line: w.tag, Ver: w.ver, Dirty: w.dirty}
 		if w.dirty {
 			c.dirtyLines--
 		}
-		c.validLines--
 	}
-	ways[victim] = way{tag: line, ver: ver, epoch: c.epoch, dirty: dirty}
-	c.validLines++
+	copy(ways[1:], ways[:len(ways)-1])
+	ways[0] = way{tag: line, ver: ver, dirty: dirty}
 	if dirty {
 		c.dirtyLines++
 		c.markDirtySet(si)
 	}
-	moveToFront(ways, victim)
 	return ev
 }
 
@@ -313,15 +342,11 @@ func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
 //
 //cpelide:noalloc
 func (c *Cache) Invalidate(line Addr) (wasDirty, wasPresent bool) {
-	ways := c.set(line)
+	ways, si := c.lookup(line)
 	for i := range ways {
-		if ways[i].epoch == c.epoch && ways[i].tag == line {
+		if ways[i].tag == line {
 			wasDirty = ways[i].dirty
-			if wasDirty {
-				c.dirtyLines--
-			}
-			c.validLines--
-			ways[i] = way{}
+			c.drop(si, ways, i)
 			return wasDirty, true
 		}
 	}
@@ -330,24 +355,20 @@ func (c *Cache) Invalidate(line Addr) (wasDirty, wasPresent bool) {
 
 // InvalidateAll drops every line and returns the number invalidated.
 // Dirty data is discarded; callers needing write-back must FlushAll first.
-// The work is O(1): validity is epoch-based, so bumping the epoch stales
-// every way at once (the way array is physically cleared only when the
-// 16-bit epoch wraps).
+// The work is O(1): validity is epoch-based, so bumping the epoch empties
+// every set at once (the per-set records are physically cleared only when
+// the 16-bit epoch wraps).
 //
 //cpelide:noalloc
 func (c *Cache) InvalidateAll() int {
 	n := c.validLines
 	if c.epoch == ^uint16(0) {
-		for i := range c.sets {
-			c.sets[i] = way{}
-		}
+		clear(c.sets)
 		c.epoch = 1
 	} else {
 		c.epoch++
 	}
-	for i := range c.dirtySets {
-		c.dirtySets[i] = 0
-	}
+	clear(c.dirtySets)
 	c.validLines = 0
 	c.dirtyLines = 0
 	return n
@@ -367,15 +388,14 @@ func (c *Cache) InvalidateRanges(rs RangeSet) int {
 		return n
 	}
 	n := 0
-	for i := range c.sets {
-		w := &c.sets[i]
-		if w.epoch == c.epoch && rs.Contains(w.tag) {
-			if w.dirty {
-				c.dirtyLines--
+	for si := range c.sets {
+		ways := c.valid(uint64(si))
+		for i := len(ways) - 1; i >= 0; i-- {
+			if rs.Contains(ways[i].tag) {
+				c.drop(uint64(si), ways, i)
+				ways = ways[:len(ways)-1]
+				n++
 			}
-			c.validLines--
-			*w = way{}
-			n++
 		}
 	}
 	return n
@@ -385,7 +405,7 @@ func (c *Cache) InvalidateRanges(rs RangeSet) int {
 // tag in the cache.
 func (c *Cache) rangeSmall(rs RangeSet) bool {
 	lines := rs.Size() >> c.lineShift
-	return lines < uint64(len(c.sets))/uint64(c.assoc)
+	return lines < c.numSets
 }
 
 // eachLine invokes f for every line-aligned address in rs.
@@ -403,11 +423,10 @@ func (c *Cache) eachLine(rs RangeSet, f func(Addr)) {
 // order, and returns how many it cleaned.
 func (c *Cache) flushSet(si uint64, commit func(line Addr, ver uint32)) int {
 	n := 0
-	base := si * uint64(c.assoc)
-	ways := c.sets[base : base+uint64(c.assoc)]
+	ways := c.valid(si)
 	for i := range ways {
 		w := &ways[i]
-		if w.epoch == c.epoch && w.dirty {
+		if w.dirty {
 			commit(w.tag, w.ver)
 			w.dirty = false
 			c.dirtyLines--
@@ -452,9 +471,9 @@ func (c *Cache) FlushRanges(rs RangeSet, commit func(line Addr, ver uint32)) int
 	if c.rangeSmall(rs) {
 		n := 0
 		c.eachLine(rs, func(line Addr) {
-			ways := c.set(line)
+			ways, _ := c.lookup(line)
 			for i := range ways {
-				if ways[i].epoch == c.epoch && ways[i].tag == line && ways[i].dirty {
+				if ways[i].tag == line && ways[i].dirty {
 					commit(line, ways[i].ver)
 					ways[i].dirty = false
 					c.dirtyLines--
@@ -468,13 +487,11 @@ func (c *Cache) FlushRanges(rs RangeSet, commit func(line Addr, ver uint32)) int
 	for wi, word := range c.dirtySets {
 		for b := uint64(0); word != 0; word >>= 1 {
 			if word&1 != 0 {
-				si := uint64(wi)<<6 + b
-				base := si * uint64(c.assoc)
-				ways := c.sets[base : base+uint64(c.assoc)]
+				ways := c.valid(uint64(wi)<<6 + b)
 				remaining := false
 				for i := range ways {
 					w := &ways[i]
-					if w.epoch != c.epoch || !w.dirty {
+					if !w.dirty {
 						continue
 					}
 					if rs.Contains(w.tag) {
@@ -499,9 +516,11 @@ func (c *Cache) FlushRanges(rs RangeSet, commit func(line Addr, ver uint32)) int
 // ValidInRanges counts valid lines whose addresses lie in rs.
 func (c *Cache) ValidInRanges(rs RangeSet) int {
 	n := 0
-	for i := range c.sets {
-		if c.sets[i].epoch == c.epoch && rs.Contains(c.sets[i].tag) {
-			n++
+	for si := range c.sets {
+		for _, w := range c.valid(uint64(si)) {
+			if rs.Contains(w.tag) {
+				n++
+			}
 		}
 	}
 	return n

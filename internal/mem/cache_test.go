@@ -170,13 +170,22 @@ func TestCacheValidInRanges(t *testing.T) {
 }
 
 // Property: after arbitrary operation sequences, the valid/dirty counters
-// match a brute-force scan, and the cache never exceeds its capacity.
+// match a brute-force count over each set's valid prefix (as the per-set
+// record defines it), and the cache never exceeds its capacity. The mix
+// includes the whole-cache and range invalidations whose bookkeeping is the
+// epoch bump and the hole-closing shift.
 func TestCacheCountersInvariant(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	c := must(NewCache("p", 8*64*2, 2, 64))
 	lines := func() (valid, dirty int) {
-		for _, w := range c.sets {
-			if w.epoch == c.epoch {
+		for si, r := range c.sets {
+			if r.epoch != c.epoch {
+				continue
+			}
+			if int(r.n) > c.assoc {
+				t.Fatalf("set %d: record counts %d ways, assoc %d", si, r.n, c.assoc)
+			}
+			for _, w := range c.ways[si*c.assoc : si*c.assoc+int(r.n)] {
 				valid++
 				if w.dirty {
 					dirty++
@@ -187,7 +196,7 @@ func TestCacheCountersInvariant(t *testing.T) {
 	}
 	for i := 0; i < 5000; i++ {
 		line := Addr(rnd.Intn(64)) * 64
-		switch rnd.Intn(6) {
+		switch rnd.Intn(10) {
 		case 0:
 			c.Read(line)
 		case 1:
@@ -200,6 +209,18 @@ func TestCacheCountersInvariant(t *testing.T) {
 			c.FlushRanges(NewRangeSet(Range{line, line + 256}), func(Addr, uint32) {})
 		case 5:
 			c.UpdateClean(line, uint32(i))
+		case 6:
+			c.InvalidateRanges(NewRangeSet(Range{line, line + 256})) // per-line probes
+		case 7:
+			c.InvalidateRanges(NewRangeSet(Range{line, line + 16*64})) // full walk
+		case 8:
+			if rnd.Intn(4) == 0 {
+				c.InvalidateAll()
+			}
+		case 9:
+			if rnd.Intn(4) == 0 {
+				c.FlushAll(func(Addr, uint32) {})
+			}
 		}
 		v, d := lines()
 		if v != c.ValidLines() || d != c.DirtyLines() {
@@ -253,9 +274,9 @@ func TestCacheNoSilentDirtyLoss(t *testing.T) {
 
 // TestCacheEpochWrap drives a cache's 16-bit epoch past 0xFFFF with
 // resident and dirty lines in the way array. InvalidateAll only bumps the
-// epoch, so ways written at epoch 1 stay in the array, stale, until the
-// epoch wraps back to 1; the wrap must really clear the array or they come
-// back valid. (A reused machine bumps every L1's epoch at each kernel
+// epoch, so set records written at epoch 1 stay in place, stale, until the
+// epoch wraps back to 1; the wrap must really clear the records or their
+// ways come back valid. (A reused machine bumps every L1's epoch at each kernel
 // boundary, so a long-lived process reaches the wrap.) Afterwards the cache
 // must hit, miss, evict and flush exactly like a fresh one.
 func TestCacheEpochWrap(t *testing.T) {

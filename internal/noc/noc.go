@@ -21,7 +21,7 @@ import (
 type Fabric struct {
 	flitSize int
 	sheet    *stats.Sheet
-	gpuOf    func(chiplet int) int
+	perGPU   int // chiplets per GPU package; chiplet c sits on package c/perGPU
 	faults   *faults.Injector
 
 	portBytes []uint64 // per chiplet: bytes crossing that chiplet's crossbar port
@@ -34,19 +34,20 @@ type Fabric struct {
 // of panicking so embedding simulations surface it as a run error.
 var ErrConfig = errors.New("noc: invalid config")
 
-// New builds a Fabric for n chiplets, recording flits into sheet. gpuOf maps
-// a chiplet to its GPU package (nil = all chiplets on one package).
-func New(n, flitSize int, sheet *stats.Sheet, gpuOf func(int) int) (*Fabric, error) {
+// New builds a Fabric for n chiplets, recording flits into sheet. perGPU is
+// the chiplet count of one GPU package (config.GPU.ChipletsPerGPU; n when
+// all chiplets share one package).
+func New(n, flitSize int, sheet *stats.Sheet, perGPU int) (*Fabric, error) {
 	if flitSize <= 0 {
 		return nil, fmt.Errorf("%w: flit size %d must be positive", ErrConfig, flitSize)
 	}
-	if gpuOf == nil {
-		gpuOf = func(int) int { return 0 }
+	if perGPU <= 0 {
+		return nil, fmt.Errorf("%w: chiplets per GPU %d must be positive", ErrConfig, perGPU)
 	}
 	return &Fabric{
 		flitSize:  flitSize,
 		sheet:     sheet,
-		gpuOf:     gpuOf,
+		perGPU:    perGPU,
 		portBytes: make([]uint64, n),
 		dramBytes: make([]uint64, n),
 	}, nil
@@ -90,11 +91,15 @@ func (f *Fabric) Remote(from, to, bytes int) {
 	if to != from {
 		f.portBytes[to] += uint64(bytes)
 	}
-	if f.gpuOf(from) != f.gpuOf(to) {
+	if f.InterGPU(from, to) {
 		f.sheet.Add(stats.FlitsInterGPU, f.flits(bytes))
 		f.interGPUBytes += uint64(bytes)
 	}
 }
+
+// InterGPU reports whether chiplets from and to sit on different GPU
+// packages, i.e. whether a transfer between them crosses the inter-GPU link.
+func (f *Fabric) InterGPU(from, to int) bool { return from/f.perGPU != to/f.perGPU }
 
 // InterGPUBytes returns cumulative inter-GPU link bytes.
 func (f *Fabric) InterGPUBytes() uint64 { return f.interGPUBytes }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/stats"
@@ -8,7 +9,7 @@ import (
 
 func TestFlitClasses(t *testing.T) {
 	sheet := stats.New()
-	f := must(New(4, 16, sheet, nil))
+	f := must(New(4, 16, sheet, 4))
 	f.L1L2(72) // ceil(72/16) = 5 flits
 	if got := sheet.Get(stats.FlitsL1L2); got != 5 {
 		t.Errorf("L1L2 flits = %d, want 5", got)
@@ -27,7 +28,7 @@ func TestFlitClasses(t *testing.T) {
 }
 
 func TestPortAccounting(t *testing.T) {
-	f := must(New(4, 16, stats.New(), nil))
+	f := must(New(4, 16, stats.New(), 4))
 	f.Remote(0, 2, 128)
 	if f.PortBytes(0) != 128 || f.PortBytes(2) != 128 {
 		t.Error("both endpoints' ports should be occupied")
@@ -42,7 +43,7 @@ func TestPortAccounting(t *testing.T) {
 }
 
 func TestDRAMAccountingAndReset(t *testing.T) {
-	f := must(New(2, 16, stats.New(), nil))
+	f := must(New(2, 16, stats.New(), 2))
 	f.DRAM(1, 256)
 	f.DRAM(1, 64)
 	if f.DRAMBytes(1) != 320 || f.DRAMBytes(0) != 0 {
@@ -60,7 +61,7 @@ func TestDRAMAccountingAndReset(t *testing.T) {
 func TestInterGPUAccounting(t *testing.T) {
 	sheet := stats.New()
 	// Chiplets 0,1 on GPU 0; chiplets 2,3 on GPU 1.
-	f := must(New(4, 16, sheet, func(c int) int { return c / 2 }))
+	f := must(New(4, 16, sheet, 2))
 	f.Remote(0, 1, 64) // same package
 	if f.InterGPUBytes() != 0 {
 		t.Error("same-package transfer counted as inter-GPU")
@@ -79,6 +80,14 @@ func TestInterGPUAccounting(t *testing.T) {
 	f.Reset()
 	if f.InterGPUBytes() != 0 {
 		t.Error("Reset missed inter-GPU bytes")
+	}
+}
+
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, c := range []struct{ flit, perGPU int }{{0, 4}, {16, 0}, {16, -1}} {
+		if _, err := New(4, c.flit, stats.New(), c.perGPU); !errors.Is(err, ErrConfig) {
+			t.Errorf("New(flit %d, perGPU %d) = %v, want ErrConfig", c.flit, c.perGPU, err)
+		}
 	}
 }
 
