@@ -35,8 +35,8 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		debugAddr = flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof (e.g. localhost:6060); empty disables")
 		workers   = flag.Int("workers", 0, "farm worker goroutines (0 = all CPUs)")
-		queueCap  = flag.Int("queue", 64, "pending-job queue capacity (full queue => 429)")
-		cacheCap  = flag.Int("cache", farm.DefaultCacheEntries, "result cache entries (negative disables caching)")
+		queueCap  = flag.Int("queue", 64, "accepted jobs allowed beyond the farm workers before submissions get 429")
+		cacheCap  = flag.Int("cache", farm.DefaultCacheEntries, "result cache entries, failed runs included (0 = default); a job evicted from it answers 404")
 		jobTO     = flag.Duration("job-timeout", 0, "deadline for one simulation (0 = none)")
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 
@@ -52,6 +52,10 @@ func main() {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	}
 	logger := slog.New(handler).With("component", "cpelide-server")
+	if *cacheCap < 0 {
+		logger.Error("bad -cache: want >= 0", "cache", *cacheCap)
+		os.Exit(2)
+	}
 
 	reg := metrics.NewRegistry()
 	opts := farm.Options{
@@ -78,7 +82,7 @@ func main() {
 	}
 
 	eng := farm.New(opts)
-	if store != nil && *cacheCap >= 0 {
+	if store != nil {
 		// Warm the LRU from the store's freshest entries so a restart (or a
 		// new worker on a shared store) starts hot instead of cold.
 		capacity := *cacheCap

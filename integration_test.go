@@ -3,6 +3,7 @@ package cpelide
 import (
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/kernels"
 )
 
@@ -97,6 +98,23 @@ func TestSmokeAllProtocolsNoStaleReads(t *testing.T) {
 				t.Errorf("%s/%v: zero accesses", w.Name, p)
 			}
 		}
+	}
+}
+
+// TestChipletBound: HMG's directory has one sharer bit per chiplet up to
+// config.MaxChiplets, so a larger machine is a config error rather than a
+// run that silently loses sharers and reads stale data.
+func TestChipletBound(t *testing.T) {
+	w := producerConsumer(2)
+	rep, err := Run(DefaultConfig(config.MaxChiplets), w, Options{Protocol: ProtocolHMG})
+	if err != nil {
+		t.Fatalf("%d chiplets: %v", config.MaxChiplets, err)
+	}
+	if rep.StaleReads != 0 {
+		t.Errorf("%d chiplets: %d stale reads", config.MaxChiplets, rep.StaleReads)
+	}
+	if rep, err := Run(DefaultConfig(config.MaxChiplets+1), w, Options{Protocol: ProtocolHMG}); err == nil {
+		t.Fatalf("%d chiplets ran (%d stale reads), want a config error", config.MaxChiplets+1, rep.StaleReads)
 	}
 }
 

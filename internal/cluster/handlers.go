@@ -322,7 +322,6 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.QueueLen += sr.QueueLen
 		out.QueueCap += sr.QueueCap
 		out.Workers += sr.Workers
-		out.JobsKnown += sr.JobsKnown
 	}
 	server.WriteJSON(w, http.StatusOK, out)
 }

@@ -222,11 +222,15 @@ func (g GPU) TableEntries() int {
 	return g.TableMaxDataStructures * g.TableKernelWindow
 }
 
+// MaxChiplets bounds NumChiplets: the HMG directory keeps one sharer bit
+// per chiplet in a 16-bit mask.
+const MaxChiplets = 16
+
 // Validate reports the first structural problem with the configuration.
 func (g GPU) Validate() error {
 	switch {
-	case g.NumChiplets < 1:
-		return errors.New("config: NumChiplets must be >= 1")
+	case g.NumChiplets < 1 || g.NumChiplets > MaxChiplets:
+		return fmt.Errorf("config: NumChiplets %d must be in [1, %d]", g.NumChiplets, MaxChiplets)
 	case g.CUsPerChiplet < 1:
 		return errors.New("config: CUsPerChiplet must be >= 1")
 	case g.LineSize <= 0 || g.LineSize&(g.LineSize-1) != 0:

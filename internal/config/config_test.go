@@ -95,6 +95,7 @@ func TestMonolithicEquivalent(t *testing.T) {
 func TestValidateRejectsBrokenConfigs(t *testing.T) {
 	mutations := []func(*GPU){
 		func(g *GPU) { g.NumChiplets = 0 },
+		func(g *GPU) { g.NumChiplets = MaxChiplets + 1 },
 		func(g *GPU) { g.CUsPerChiplet = 0 },
 		func(g *GPU) { g.LineSize = 48 },
 		func(g *GPU) { g.PageSize = 32 },

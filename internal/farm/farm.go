@@ -56,8 +56,8 @@ var ErrPanic = errors.New("farm: job panicked")
 type Options struct {
 	// Workers bounds concurrent simulations; <= 0 uses runtime.NumCPU().
 	Workers int
-	// CacheEntries bounds the result cache: 0 uses DefaultCacheEntries,
-	// negative disables caching (single-flight dedup still applies).
+	// CacheEntries bounds the result cache, failed runs included; <= 0
+	// uses DefaultCacheEntries.
 	CacheEntries int
 	// Trace, when non-nil, records one span per job (queued -> running ->
 	// done/cached/error) in wall-clock microseconds since the farm started.
@@ -130,13 +130,14 @@ type Farm struct {
 	jobTimeout time.Duration
 }
 
-// flight is one in-progress computation; every submitter of the same key
-// waits on done.
+// flight is one computation; every submitter of the same key waits on
+// done. Once resolved, a flight that ran becomes the key's cache entry.
 type flight struct {
 	key      string
 	job      Job
 	queuedUS uint64
 	done     chan struct{}
+	state    string // queued, then running once a worker holds it (guarded by Farm.mu)
 	rep      *cpelide.Report
 	err      error
 	resolved bool
@@ -157,7 +158,7 @@ func New(o Options) *Farm {
 		w = runtime.NumCPU()
 	}
 	entries := o.CacheEntries
-	if entries == 0 {
+	if entries <= 0 {
 		entries = DefaultCacheEntries
 	}
 	f := &Farm{
@@ -204,7 +205,7 @@ func (f *Farm) Counters() Counters {
 	return f.c
 }
 
-// CacheLen returns the number of memoized results.
+// CacheLen returns the number of memoized results, failed runs included.
 func (f *Farm) CacheLen() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -216,54 +217,116 @@ func (f *Farm) CacheLen() int {
 // canceled. The returned Report may be shared with other submitters and
 // must be treated as read-only.
 func (f *Farm) Submit(ctx context.Context, job Job) (*cpelide.Report, error) {
-	key, err := job.Key()
-	if err != nil {
+	fl, leader, err := f.acquire(job)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-
-	f.mu.Lock()
-	f.c.Jobs++
-	f.m.jobs.Inc()
-	if rep, ok := f.cache.get(key); ok {
-		f.c.CacheHits++
-		f.m.hits.Inc()
-		now := f.sinceUS()
-		f.mu.Unlock()
-		f.traceJob(-1, job.Name()+" [cached]", now, now, now)
-		return rep, nil
-	}
-	if fl, ok := f.inflight[key]; ok {
-		f.c.DedupWaits++
-		f.m.dedup.Inc()
-		f.mu.Unlock()
+	case leader:
+		f.enqueue(ctx, fl)
+		<-fl.done
+	default:
 		select {
 		case <-fl.done:
-			return fl.rep, fl.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
+	return fl.rep, fl.err
+}
+
+// Start is Submit without the wait: the job's flight is registered or
+// joined before Start returns, so Status already reports it, and done is
+// called once with the outcome.
+func (f *Farm) Start(job Job, done func(*cpelide.Report, error)) {
+	fl, leader, err := f.acquire(job)
+	if err != nil {
+		done(nil, err)
+		return
+	}
+	go func() {
+		if leader {
+			f.enqueue(context.Background(), fl)
+		}
+		<-fl.done
+		done(fl.rep, fl.err)
+	}()
+}
+
+// acquire counts a submission and returns its flight: the cached one for a
+// hit, the identical live one to join, or a new one the caller leads and
+// must enqueue. A cached failure is a miss, so a failed job runs anew.
+func (f *Farm) acquire(job Job) (fl *flight, leader bool, err error) {
+	key, err := job.Key()
+	if err != nil {
+		return nil, false, err
+	}
+
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.c.Jobs++
+	f.m.jobs.Inc()
+	if fl, ok := f.cache.get(key, true); ok && fl.err == nil {
+		f.c.CacheHits++
+		f.m.hits.Inc()
+		now := f.sinceUS()
+		f.rec.Job(-1, job.Name()+" [cached]", now, now, now)
+		return fl, false, nil
+	}
+	if fl, ok := f.inflight[key]; ok {
+		f.c.DedupWaits++
+		f.m.dedup.Inc()
+		return fl, false, nil
+	}
 	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	f.c.CacheMisses++
 	f.m.misses.Inc()
-	fl := &flight{key: key, job: job, queuedUS: f.sinceUS(), done: make(chan struct{})}
+	fl = &flight{key: key, job: job, queuedUS: f.sinceUS(), done: make(chan struct{}), state: "queued"}
 	f.inflight[key] = fl
-	f.mu.Unlock()
+	return fl, true, nil
+}
 
-	t := &task{ctx: ctx, fl: fl}
+// enqueue hands a new flight to a worker, or resolves it unrun if ctx is
+// canceled or the farm closes first.
+func (f *Farm) enqueue(ctx context.Context, fl *flight) {
 	select {
-	case f.tasks <- t:
+	case f.tasks <- &task{ctx: ctx, fl: fl}:
 	case <-ctx.Done():
 		f.finish(fl, nil, ctx.Err(), srcAbort)
-		f.traceJob(-1, job.Name()+" [canceled]", fl.queuedUS, f.sinceUS(), f.sinceUS())
+		f.traceJob(-1, fl.job.Name()+" [canceled]", fl.queuedUS, f.sinceUS(), f.sinceUS())
 	case <-f.quit:
 		f.finish(fl, nil, ErrClosed, srcAbort)
 	}
-	<-fl.done
-	return fl.rep, fl.err
+}
+
+// JobStatus is a job's state, read from its live or cached flight.
+type JobStatus struct {
+	State  string          // queued | running | done | error
+	Report *cpelide.Report // when done; shared and read-only
+	Err    string          // when error
+	Done   <-chan struct{} // when queued or running: closed as the flight resolves
+}
+
+// Status reports the job with the given key without counting it or
+// refreshing its cache recency. It is false for a key the farm never ran,
+// has evicted, or abandoned unrun (canceled or closed).
+func (f *Farm) Status(key string) (JobStatus, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fl, ok := f.inflight[key]
+	if !ok {
+		fl, ok = f.cache.get(key, false)
+	}
+	switch {
+	case !ok:
+		return JobStatus{}, false
+	case !fl.resolved:
+		return JobStatus{State: fl.state, Done: fl.done}, true
+	case fl.err != nil:
+		return JobStatus{State: "error", Err: fl.err.Error()}, true
+	}
+	return JobStatus{State: "done", Report: fl.rep}, true
 }
 
 // Do submits every job concurrently (the pool still bounds parallelism)
@@ -315,6 +378,9 @@ func (f *Farm) worker(id int) {
 // consults the persistent store first — a hit resolves the flight without
 // simulating — and writes freshly computed reports back.
 func (f *Farm) run(id int, t *task) {
+	f.mu.Lock()
+	t.fl.state = "running"
+	f.mu.Unlock()
 	startUS := f.sinceUS()
 	if err := t.ctx.Err(); err != nil {
 		f.finish(t.fl, nil, err, srcAbort)
@@ -444,10 +510,10 @@ const (
 	srcStore                   // loaded from the persistent store
 )
 
-// finish resolves a flight exactly once: memoize a successful result,
-// update the counters, and release every waiter. Successful results are
-// cached whether simulated or store-loaded; only simulations count as Runs
-// and feed the per-run metric roll-ups.
+// finish resolves a flight exactly once: memoize its outcome, update the
+// counters, and release every waiter. Every flight that ran is cached,
+// failures included; one abandoned unrun is not. Only simulations count as
+// Runs and feed the per-run metric roll-ups.
 func (f *Farm) finish(fl *flight, rep *cpelide.Report, err error, src resolveSrc) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -469,7 +535,7 @@ func (f *Farm) finish(fl *flight, rep *cpelide.Report, err error, src resolveSrc
 		f.c.StoreHits++
 		f.m.storeHits.Inc()
 	}
-	if err == nil && src != srcAbort && f.cache.add(fl.key, rep) {
+	if src != srcAbort && f.cache.add(fl) {
 		f.c.Evictions++
 		f.m.evictions.Inc()
 	}

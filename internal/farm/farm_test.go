@@ -174,6 +174,70 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestStartStatus follows a started job through the status lookup: known
+// as soon as Start returns, running once a worker holds it, then done from
+// the cache. A failed job reads as error from the same bounded cache, and
+// resubmitting it runs it anew.
+func TestStartStatus(t *testing.T) {
+	release := make(chan struct{})
+	execHook = func(ctx context.Context, j Job) (*cpelide.Report, error) {
+		<-release
+		if j.Params.Iters == 13 {
+			return nil, errors.New("boom")
+		}
+		return &cpelide.Report{Workload: j.Workload, Cycles: 42}, nil
+	}
+	defer func() { execHook = nil }()
+
+	f := New(Options{Workers: 1})
+	defer f.Close()
+
+	job := baseJob()
+	key := mustKey(t, job)
+	if _, ok := f.Status(key); ok {
+		t.Fatal("status of a never-submitted job")
+	}
+	outcome := make(chan error, 1)
+	f.Start(job, func(_ *cpelide.Report, err error) { outcome <- err })
+	st, ok := f.Status(key)
+	if !ok || (st.State != "queued" && st.State != "running") || st.Done == nil {
+		t.Fatalf("status right after Start = %+v %v, want queued or running", st, ok)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st.State != "running" {
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started running: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+		st, _ = f.Status(key)
+	}
+	close(release)
+	<-st.Done
+	if err := <-outcome; err != nil {
+		t.Fatalf("done callback got %v", err)
+	}
+	if st, ok := f.Status(key); !ok || st.State != "done" || st.Report.Cycles != 42 {
+		t.Fatalf("finished job status = %+v %v, want done with the report", st, ok)
+	}
+
+	bad := baseJob()
+	bad.Params.Iters = 13
+	badKey := mustKey(t, bad)
+	if _, err := f.Submit(context.Background(), bad); err == nil {
+		t.Fatal("failing job returned no error")
+	}
+	if st, ok := f.Status(badKey); !ok || st.State != "error" || !strings.Contains(st.Err, "boom") {
+		t.Fatalf("failed job status = %+v %v, want error boom", st, ok)
+	}
+	if _, err := f.Submit(context.Background(), bad); err == nil {
+		t.Fatal("failing job returned no error on resubmit")
+	}
+	if c := f.Counters(); c.CacheMisses != 3 || c.CacheHits != 0 || c.Errors != 2 {
+		t.Fatalf("misses=%d hits=%d errors=%d, want 3, 0 and 2 (a cached failure is a miss)",
+			c.CacheMisses, c.CacheHits, c.Errors)
+	}
+}
+
 // TestPanicIsolation turns a worker panic into a submission error and
 // leaves the pool serviceable.
 func TestPanicIsolation(t *testing.T) {

@@ -30,7 +30,7 @@ func (f *Farm) Warm(keys []string) int {
 	loaded := 0
 	for _, key := range keys {
 		f.mu.Lock()
-		_, resident := f.cache.get(key)
+		_, resident := f.cache.get(key, true)
 		f.mu.Unlock()
 		if resident {
 			continue
@@ -46,8 +46,10 @@ func (f *Farm) Warm(keys []string) int {
 		if !ok {
 			continue
 		}
+		fl := &flight{key: key, rep: rep, resolved: true, done: make(chan struct{})}
+		close(fl.done)
 		f.mu.Lock()
-		if f.cache.add(key, rep) {
+		if f.cache.add(fl) {
 			f.c.Evictions++
 			f.m.evictions.Inc()
 		}

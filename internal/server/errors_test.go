@@ -63,6 +63,8 @@ func TestErrorSchema(t *testing.T) {
 		{"unknown figure workload", "GET", "/v1/figures/fig2?workloads=nosuch", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{"negative job scale", "POST", "/v1/jobs", `{"workload":"square","scale":-1}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"negative job chiplets", "POST", "/v1/jobs", `{"workload":"square","chiplets":-2}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"too many job chiplets", "POST", "/v1/jobs", `{"workload":"square","scale":0.05,"chiplets":17}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"too many figure chiplets", "GET", "/v1/figures/fig8?chiplets=17&scale=0.05&workloads=square", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{"unrouted path", "GET", "/v2/nothing/here", "", http.StatusNotFound, ErrCodeNotFound},
 	}
 	for _, tc := range cases {

@@ -3,7 +3,10 @@
 // whole paper figures, all backed by the farm's worker pool and
 // content-addressed result cache. Job IDs are the canonical content hash of
 // the request, so resubmitting an identical job returns the same ID and —
-// once it has run anywhere in the process — its cached report.
+// once it has run anywhere in the process — its cached report. The server
+// keeps no job table of its own: a job's status is its farm flight while it
+// runs and its result-cache entry after, so a job the cache has evicted
+// answers 404 and a client resubmits it.
 //
 // cmd/cpelide-server wraps this package as a standalone binary; in a cluster
 // the same server runs as a worker behind cmd/cpelide-coordinator, which
@@ -15,7 +18,6 @@
 package server
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -89,9 +91,9 @@ func checkScale(f float64) error {
 	return nil
 }
 
-// Job converts the request into a farm job. The cluster coordinator uses
-// it to compute a submission's content hash for routing without running
-// anything.
+// Job converts the request into a farm job, rejecting a machine config
+// that would not validate. The cluster coordinator uses it to compute a
+// submission's content hash for routing without running anything.
 func (r JobRequest) Job() (farm.Job, error) {
 	proto, err := parseProtocol(r.Protocol)
 	if err != nil {
@@ -99,9 +101,6 @@ func (r JobRequest) Job() (farm.Job, error) {
 	}
 	if err := checkScale(r.Scale); err != nil {
 		return farm.Job{}, err
-	}
-	if r.Chiplets < 0 {
-		return farm.Job{}, fmt.Errorf("bad chiplets %d: want >= 1", r.Chiplets)
 	}
 	chiplets := r.Chiplets
 	if chiplets == 0 {
@@ -111,6 +110,9 @@ func (r JobRequest) Job() (farm.Job, error) {
 		Workload: r.Workload,
 		Streams:  r.Streams,
 		Config:   cpelide.DefaultConfig(chiplets),
+	}
+	if err := j.Config.Validate(); err != nil {
+		return farm.Job{}, err
 	}
 	j.Params.Scale = r.Scale
 	j.Params.Iters = r.Iters
@@ -147,35 +149,8 @@ const resultHold = time.Second
 // straight back; the coordinator sends the same hint for a replayed job.
 const PendingRetryAfter = "0"
 
-// serverJob tracks one accepted submission through the farm.
-type serverJob struct {
-	id   string
-	job  farm.Job
-	done chan struct{} // closed on the first transition to done or error
-
-	mu     sync.Mutex
-	status string // queued | running | done | error
-	rep    *cpelide.Report
-	errMsg string
-}
-
-func (s *serverJob) set(status string, rep *cpelide.Report, errMsg string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	wasTerminal := s.status == "done" || s.status == "error"
-	s.status, s.rep, s.errMsg = status, rep, errMsg
-	if !wasTerminal && (status == "done" || status == "error") {
-		close(s.done)
-	}
-}
-
-func (s *serverJob) snapshot() (status string, rep *cpelide.Report, errMsg string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.status, s.rep, s.errMsg
-}
-
-// server owns the farm, a bounded submission queue, and the job registry.
+// Server is the HTTP front of one farm. It keeps no per-job state, only a
+// count of accepted submissions still running, which bounds admission.
 type Server struct {
 	farm     *farm.Farm
 	queueCap int
@@ -186,32 +161,19 @@ type Server struct {
 	reg *metrics.Registry
 	log *slog.Logger
 
-	mu       sync.Mutex
-	queue    chan *serverJob
-	jobs     map[string]*serverJob
-	draining bool
-
-	wg sync.WaitGroup // dispatcher goroutines
+	mu       sync.Mutex     // orders admission against Drain
+	draining bool           // guarded by mu
+	pending  atomic.Int64   // accepted submissions not yet finished; grows under mu
+	wg       sync.WaitGroup // Drain waits on one count per pending submission
 }
 
-// New starts a server whose submission queue holds queueCap pending
-// jobs and whose dispatchers feed the given farm. Call Drain to stop.
+// New returns a server in front of f that accepts up to f.Workers() +
+// queueCap unfinished submissions before it sheds load. Call Drain to stop.
 func New(f *farm.Farm, queueCap int) *Server {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	s := &Server{
-		farm:     f,
-		queueCap: queueCap,
-		queue:    make(chan *serverJob, queueCap),
-		jobs:     make(map[string]*serverJob),
-	}
-	n := f.Workers()
-	s.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go s.dispatch()
-	}
-	return s
+	return &Server{farm: f, queueCap: queueCap}
 }
 
 // instrument attaches the observability surface: the metrics registry
@@ -220,16 +182,8 @@ func New(f *farm.Farm, queueCap int) *Server {
 func (s *Server) Instrument(reg *metrics.Registry, logger *slog.Logger) {
 	s.reg = reg
 	s.log = logger
-	reg.GaugeFunc("server_queue_depth", "Jobs waiting for a dispatcher.", func() int64 {
-		return int64(len(s.queue))
-	})
-	reg.GaugeFunc("server_jobs_known", "Job IDs tracked since startup.", func() int64 {
-		s.mu.Lock()
-		n := len(s.jobs)
-		s.mu.Unlock()
-		return int64(n)
-	})
-	reg.Gauge("server_queue_cap", "Submission queue capacity.").Set(int64(s.queueCap))
+	reg.GaugeFunc("server_queue_depth", "Accepted jobs not yet finished.", s.pending.Load)
+	reg.Gauge("server_queue_cap", "Accepted jobs allowed beyond the farm workers before submissions get 429.").Set(int64(s.queueCap))
 }
 
 // logger returns the structured logger, discarding when none was attached.
@@ -240,38 +194,11 @@ func (s *Server) logger() *slog.Logger {
 	return s.log
 }
 
-// dispatch feeds queued jobs into the farm until the queue is closed. The
-// farm's own pool bounds simulation parallelism; one dispatcher per worker
-// keeps it saturated while cache hits return immediately.
-func (s *Server) dispatch() {
-	defer s.wg.Done()
-	for sj := range s.queue {
-		sj.set("running", nil, "")
-		start := time.Now()
-		rep, err := s.farm.Submit(context.Background(), sj.job)
-		if err != nil {
-			sj.set("error", nil, err.Error())
-			s.logger().Error("job failed", "job_id", sj.id, "job", sj.job.Name(),
-				"dur_us", time.Since(start).Microseconds(), "err", err)
-			continue
-		}
-		sj.set("done", rep, "")
-		s.logger().Info("job done", "job_id", sj.id, "job", sj.job.Name(),
-			"dur_us", time.Since(start).Microseconds(), "cycles", rep.Cycles)
-	}
-}
-
-// Drain stops accepting submissions, waits for every queued job to finish,
+// Drain stops accepting submissions, waits for every accepted job to finish,
 // and returns. The farm itself is left to the caller to Close.
 func (s *Server) Drain() {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.draining = true
-	close(s.queue)
 	s.mu.Unlock()
 	s.wg.Wait()
 }
@@ -393,10 +320,10 @@ func writeErr(w http.ResponseWriter, status int, code string, format string, arg
 	})
 }
 
-// handleSubmit accepts a job (202), reports an already-known job's state
-// (200), sheds load when the queue is full (429), or rejects during
-// shutdown (503). A job that failed is accepted again: the farm caches no
-// failures, so the resubmission runs it anew.
+// handleSubmit accepts a job (202), reports a job the farm already knows
+// (200), sheds load once Workers + queueCap accepted jobs are unfinished
+// (429), or rejects during shutdown (503). A job that failed is accepted
+// again: the farm treats its cached failure as a miss and runs it anew.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -413,50 +340,45 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
 	}
+	if st, ok := s.farm.Status(id); ok && st.State != "error" {
+		writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: st.State})
+		return
+	}
 
 	s.mu.Lock()
-	if sj, ok := s.jobs[id]; ok {
-		if status, _, errMsg := sj.snapshot(); status != "error" {
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: status, Error: errMsg})
-			return
-		}
-	}
 	if s.draining {
 		s.mu.Unlock()
 		writeErr(w, http.StatusServiceUnavailable, ErrCodeDraining, "server is draining")
 		return
 	}
-	sj := &serverJob{id: id, job: job, status: "queued", done: make(chan struct{})}
-	select {
-	case s.queue <- sj:
-		s.jobs[id] = sj
-		s.mu.Unlock()
-		s.logger().Info("job accepted", "job_id", id, "job", job.Name())
-		writeJSON(w, http.StatusAccepted, StatusResponse{ID: id, Status: "queued"})
-	default:
+	if s.pending.Load() >= int64(s.farm.Workers()+s.queueCap) {
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, ErrCodeQueueFull, "queue full (%d pending)", s.queueCap)
+		return
 	}
-}
-
-func (s *Server) lookup(id string) (*serverJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sj, ok := s.jobs[id]
-	return sj, ok
+	s.pending.Add(1)
+	s.wg.Add(1)
+	s.mu.Unlock()
+	s.logger().Info("job accepted", "job_id", id, "job", job.Name())
+	start := time.Now()
+	s.farm.Start(job, func(_ *cpelide.Report, err error) {
+		s.pending.Add(-1)
+		s.logger().Info("job finished", "job_id", id, "job", job.Name(),
+			"dur_us", time.Since(start).Microseconds(), "err", err)
+		s.wg.Done()
+	})
+	writeJSON(w, http.StatusAccepted, StatusResponse{ID: id, Status: "queued"})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sj, ok := s.lookup(id)
+	st, ok := s.farm.Status(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown job %q", id)
 		return
 	}
-	status, _, errMsg := sj.snapshot()
-	writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: status, Error: errMsg})
+	writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: st.State, Error: st.Err})
 }
 
 // handleResult answers with the report (200) or the failure (500). On a
@@ -465,27 +387,29 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // 202 with Retry-After: 0, since the hold already spent the wait.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sj, ok := s.lookup(id)
+	st, ok := s.farm.Status(id)
+	if ok && st.Done != nil {
+		hold := time.NewTimer(resultHold)
+		select {
+		case <-st.Done:
+		case <-r.Context().Done():
+		case <-hold.C:
+		}
+		hold.Stop()
+		st, ok = s.farm.Status(id)
+	}
 	if !ok {
 		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown job %q", id)
 		return
 	}
-	hold := time.NewTimer(resultHold)
-	select {
-	case <-sj.done: // already closed for a terminal job
-	case <-r.Context().Done():
-	case <-hold.C:
-	}
-	hold.Stop()
-	status, rep, errMsg := sj.snapshot()
-	switch status {
+	switch st.State {
 	case "done":
-		writeJSON(w, http.StatusOK, rep)
+		writeJSON(w, http.StatusOK, st.Report)
 	case "error":
-		writeErr(w, http.StatusInternalServerError, ErrCodeJobFailed, "job failed: %s", errMsg)
+		writeErr(w, http.StatusInternalServerError, ErrCodeJobFailed, "job failed: %s", st.Err)
 	default:
 		w.Header().Set("Retry-After", PendingRetryAfter)
-		writeJSON(w, http.StatusAccepted, StatusResponse{ID: id, Status: status})
+		writeJSON(w, http.StatusAccepted, StatusResponse{ID: id, Status: st.State})
 	}
 }
 
@@ -529,8 +453,11 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		n := 4
 		if v := q.Get("chiplets"); v != "" {
 			var err error
-			if n, err = strconv.Atoi(v); err != nil || n < 1 {
-				writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad chiplets %q", v)
+			if n, err = strconv.Atoi(v); err == nil {
+				err = cpelide.DefaultConfig(n).Validate()
+			}
+			if err != nil {
+				writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad chiplets %q: %v", v, err)
 				return
 			}
 		}
@@ -555,26 +482,26 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// StatsResponse is the GET /v1/stats body. QueueLen counts accepted jobs
+// not yet finished; submissions get 429 once it reaches Workers + QueueCap.
 type StatsResponse struct {
-	Farm      farm.Counters `json:"farm"`
-	CacheLen  int           `json:"cache_len"`
-	QueueLen  int           `json:"queue_len"`
-	QueueCap  int           `json:"queue_cap"`
-	Workers   int           `json:"workers"`
-	JobsKnown int           `json:"jobs_known"`
-	Draining  bool          `json:"draining"`
+	Farm     farm.Counters `json:"farm"`
+	CacheLen int           `json:"cache_len"`
+	QueueLen int           `json:"queue_len"`
+	QueueCap int           `json:"queue_cap"`
+	Workers  int           `json:"workers"`
+	Draining bool          `json:"draining"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	resp := StatsResponse{
-		Farm:      s.farm.Counters(),
-		CacheLen:  s.farm.CacheLen(),
-		QueueLen:  len(s.queue),
-		QueueCap:  s.queueCap,
-		Workers:   s.farm.Workers(),
-		JobsKnown: len(s.jobs),
-		Draining:  s.draining,
+		Farm:     s.farm.Counters(),
+		CacheLen: s.farm.CacheLen(),
+		QueueLen: int(s.pending.Load()),
+		QueueCap: s.queueCap,
+		Workers:  s.farm.Workers(),
+		Draining: s.draining,
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)

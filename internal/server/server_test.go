@@ -44,8 +44,8 @@ func get(t *testing.T, ts *httptest.Server, path string, v any) int {
 }
 
 // TestSubmitPollResult drives the happy path: submit, poll to completion,
-// fetch the report, and confirm a resubmission is answered from the
-// registry while the farm's cache kept the simulation count at one.
+// fetch the report, and confirm a resubmission is answered from the farm's
+// result cache with the simulation count kept at one.
 func TestSubmitPollResult(t *testing.T) {
 	eng := farm.New(farm.Options{Workers: 2})
 	defer eng.Close()
@@ -110,8 +110,8 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 }
 
-// TestResubmitFailedJob: resubmitting a job that failed replaces its
-// registry entry and runs it again (202), as the farm caches no failures.
+// TestResubmitFailedJob: resubmitting a job that failed runs it again
+// (202), as the farm treats a cached failure as a miss.
 func TestResubmitFailedJob(t *testing.T) {
 	eng := farm.New(farm.Options{Workers: 1})
 	defer eng.Close()
@@ -155,7 +155,7 @@ func TestBurstBackpressureAndDrain(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Occupy the single dispatcher with a full-size run (~hundreds of ms)
+	// Occupy the single farm worker with a full-size run (~hundreds of ms)
 	// so the burst below races against a genuinely busy server.
 	code, first := post(t, ts, `{"workload": "square"}`)
 	if code != http.StatusAccepted {
@@ -218,6 +218,41 @@ func TestBurstBackpressureAndDrain(t *testing.T) {
 	}
 }
 
+// TestRetentionBounded: the server keeps no job state of its own, so a
+// job's status lives only as long as its entry in the farm's bounded result
+// cache. Once evicted it answers 404, and a resubmission runs it again.
+func TestRetentionBounded(t *testing.T) {
+	eng := farm.New(farm.Options{Workers: 1, CacheEntries: 2})
+	defer eng.Close()
+	s := New(eng, 4)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Drain()
+
+	body := func(i int) string {
+		return fmt.Sprintf(`{"workload": "square", "scale": 0.05, "iters": %d}`, i+1)
+	}
+	submitDone := func(i int) string {
+		t.Helper()
+		code, sr := post(t, ts, body(i))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: got %d, want 202", i, code)
+		}
+		waitStatus(t, ts, sr.ID, "done")
+		return sr.ID
+	}
+	first := submitDone(0)
+	for i := 1; i <= 3; i++ {
+		submitDone(i)
+	}
+	if code := get(t, ts, "/v1/jobs/"+first, nil); code != http.StatusNotFound {
+		t.Fatalf("evicted job status: got %d, want 404", code)
+	}
+	if got := submitDone(0); got != first {
+		t.Fatalf("resubmit id %s, want %s", got, first)
+	}
+}
+
 // TestBackpressureRetryAfter pins the 429 contract: a shed submission
 // carries a Retry-After hint so well-behaved clients back off instead of
 // hammering a saturated server.
@@ -238,8 +273,8 @@ func TestBackpressureRetryAfter(t *testing.T) {
 		return resp
 	}
 
-	// Occupy the single dispatcher with a full-size run and wait until it is
-	// actually running, so the queue fill below is deterministic.
+	// Occupy the single farm worker with a full-size run and wait until it
+	// is actually running, so the queue fill below is deterministic.
 	code, first := post(t, ts, `{"workload": "square"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: got %d, want 202", code)
