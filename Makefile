@@ -47,9 +47,9 @@ cluster-smoke:
 	@bash scripts/cluster_smoke.sh
 
 # The CI chaos gate, locally: SIGKILL the coordinator mid-campaign, restart
-# it over the same journal (zero lost jobs), corrupt one store file
-# (quarantined + recomputed, store_corrupt_total == quarantine count).
-# Writes BENCH_chaos.json.
+# it with no state (workers rejoin by heartbeat within 5 s, zero lost jobs),
+# corrupt one store file (quarantined + recomputed, store_corrupt_total ==
+# quarantine count). Writes BENCH_chaos.json.
 chaos-smoke:
 	@bash scripts/chaos_smoke.sh
 

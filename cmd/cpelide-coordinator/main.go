@@ -1,9 +1,11 @@
 // Command cpelide-coordinator fronts a fleet of cpelide-server workers as
-// one experiment farm: jobs are routed by content hash with rendezvous
-// hashing over the healthy workers, dead workers are detected by health
-// polling, and their unfinished jobs are replayed onto the survivors.
-// Workers register themselves at startup (cpelide-server -coordinator) or
-// via POST /v1/workers/register.
+// one experiment farm: jobs and job reads are routed by content hash with
+// rendezvous hashing over the healthy workers, and dead workers are
+// detected by health polling. The coordinator keeps no state per job: a job
+// whose worker died answers 404 and the client resubmits it. Workers
+// register themselves at startup and every second after
+// (cpelide-server -coordinator), or via POST /v1/workers/register, so a
+// restarted coordinator relearns them within a second.
 package main
 
 import (
@@ -18,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cluster/journal"
 	"repro/internal/metrics"
 )
 
@@ -28,7 +29,6 @@ func main() {
 		healthEvery   = flag.Duration("health-interval", 250*time.Millisecond, "worker health-probe period")
 		failThreshold = flag.Int("fail-threshold", 2, "consecutive failed probes before a worker is marked dead")
 		proxyTimeout  = flag.Duration("proxy-timeout", 30*time.Second, "per-request bound for proxied calls")
-		journalPath   = flag.String("journal", "", "write-ahead journal path; restart over the same file recovers unfinished jobs and worker membership (empty = no journal)")
 		hedgeAfter    = flag.Duration("hedge-after", 0, "re-issue a slow submit to the job's second-ranked worker after this delay (0 = no hedging)")
 		logJSON       = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 	)
@@ -40,20 +40,6 @@ func main() {
 	}
 	logger := slog.New(handler).With("component", "cpelide-coordinator")
 
-	var jnl *journal.Journal
-	if *journalPath != "" {
-		var err error
-		jnl, err = journal.Open(*journalPath, journal.Options{})
-		if err != nil {
-			logger.Error("open journal", "path", *journalPath, "err", err)
-			os.Exit(1)
-		}
-		st := jnl.Stats()
-		logger.Info("journal open", "path", *journalPath,
-			"recovered_jobs", st.RecoveredJobs, "recovered_workers", st.RecoveredWorkers,
-			"truncated_bytes", st.TruncatedBytes)
-	}
-
 	reg := metrics.NewRegistry()
 	coord := cluster.NewCoordinator(cluster.Options{
 		HealthInterval: *healthEvery,
@@ -61,7 +47,6 @@ func main() {
 		ProxyTimeout:   *proxyTimeout,
 		Metrics:        reg,
 		Logger:         logger,
-		Journal:        jnl,
 		HedgeAfter:     *hedgeAfter,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: coord.Handler()}

@@ -1,7 +1,9 @@
 // Command cpelide-server runs the experiment-farm HTTP server
 // (internal/server): standalone by default, or as one worker in a cluster
 // when pointed at a cpelide-coordinator. In worker mode it registers itself
-// on startup, serves health checks at /healthz, and deregisters on shutdown.
+// on startup, re-sends that registration every second so a restarted
+// coordinator relearns it, serves health checks at /healthz, and
+// deregisters on shutdown.
 //
 // With -store, results are persisted to a content-addressed on-disk store
 // under the in-memory LRU; on startup the cache is warmed from the most
@@ -110,7 +112,8 @@ func main() {
 
 	// Worker mode: announce ourselves to the coordinator once the listener
 	// is up; a failed registration is fatal because unregistered workers
-	// never receive traffic.
+	// never receive traffic. The heartbeat then keeps the registration
+	// alive across coordinator restarts.
 	if *coordinator != "" {
 		worker := cluster.Worker{Name: *nodeName, URL: *advertise}
 		if worker.URL == "" {
@@ -128,7 +131,9 @@ func main() {
 		}
 		logger.Info("registered", "coordinator", *coordinator,
 			"node", worker.Name, "url", worker.URL)
+		stopHeartbeat := cluster.Heartbeat(nil, *coordinator, worker)
 		defer func() {
+			stopHeartbeat()
 			deregCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			if err := cluster.DeregisterWorker(deregCtx, nil, *coordinator, worker.Name); err != nil {

@@ -8,9 +8,9 @@
 //     context.Background() or context.TODO(), minting a fresh root that
 //     severs the caller's cancellation and deadline. Such a function must
 //     derive from the ctx it holds (context.WithTimeout(ctx, ...)). Minting
-//     a root is legitimate only in functions with no ctx parameter — the
-//     coordinator's background reroute/replay goroutines own their own
-//     lifetimes and are not flagged.
+//     a root is legitimate only in functions with no ctx parameter — a
+//     worker's heartbeat goroutine owns its own lifetime and is not
+//     flagged.
 //
 //   - unstoppable service loops: a `for { select { ... } }` loop with no
 //     cancellation case spins until process exit. Every such select must

@@ -1,7 +1,7 @@
 // Package exhaustive implements the cpelint pass that keeps switches over
 // the simulator's enum-like constant blocks total. The CPElide elision
 // argument is a case analysis — every protocol kind, calendar kind, fault
-// kind, and journal record type must be handled somewhere — and a switch
+// kind, and mutation kind must be handled somewhere — and a switch
 // that silently falls through for a newly added constant turns an
 // incomplete analysis into a silent wrong answer instead of a loud one.
 //
@@ -33,8 +33,8 @@ import (
 // Analyzer is the exhaustive pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "exhaustive",
-	Doc: "switches over enum-like const blocks (protocol, calendar kind, fault kind, journal record " +
-		"type, ...) must cover every declared constant or carry a non-empty default clause",
+	Doc: "switches over enum-like const blocks (protocol, calendar kind, fault kind, mutation " +
+		"kind, ...) must cover every declared constant or carry a non-empty default clause",
 	Run: run,
 }
 

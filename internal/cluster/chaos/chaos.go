@@ -2,7 +2,7 @@
 // seed-driven layer that injects the failures a distributed farm actually
 // sees — dropped connections, slow links, truncated responses, 5xx blips,
 // partitioned nodes, and a store that returns errors — so the recovery
-// machinery (journal replay, reroute, hedging, recompute-on-corruption) can
+// machinery (resubmit on 404, hedging, recompute-on-corruption) can
 // be exercised in tests and smoke runs instead of discovered in production.
 //
 // It mirrors internal/faults at the serving layer: every decision is drawn

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cluster/chaos"
 	"repro/internal/cluster/diskstore"
-	"repro/internal/cluster/journal"
 	"repro/internal/metrics"
 )
 
@@ -62,46 +61,44 @@ func startCoord(t *testing.T, addr string, opts Options) *coordServer {
 func (cs *coordServer) url() string { return "http://" + cs.addr }
 
 // kill drops the listener and every active connection, then stops the
-// coordinator. The journal is left exactly as the crash instant had it —
-// appends are synced per record, so the successor replays the same state a
-// SIGKILL would leave behind.
+// coordinator. Its successor starts with nothing, as after a SIGKILL: the
+// workers' heartbeats and the jobs they hold are all that survive.
 func (cs *coordServer) kill() {
 	cs.srv.Close()
 	cs.coord.Close()
 }
 
-// TestChaosCoordinatorCrashRecovery is the tentpole scenario: kill the
-// coordinator mid-campaign and restart it over the same journal at the same
-// address. The campaign's transient-error backoff rides out the outage, the
-// journal replays worker membership and unfinished jobs, and not one of the
-// 200 submissions is lost.
+// TestChaosCoordinatorCrashRecovery kills the coordinator mid-campaign and
+// restarts it, with no state, at the same address. The campaign's
+// transient-error backoff rides out the outage, the workers' heartbeats
+// re-register them within a second, job reads reach the same owners
+// because membership is unchanged, and not one of the 200 submissions is
+// lost.
 func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e is not a -short test")
 	}
 	storeDir := t.TempDir()
-	jpath := filepath.Join(t.TempDir(), "coordinator.journal")
 
-	jnl, err := journal.Open(jpath, journal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs1 := startCoord(t, "", Options{
+	opts := Options{
 		HealthInterval: 20 * time.Millisecond,
 		FailThreshold:  2,
 		ProxyTimeout:   5 * time.Second,
 		Metrics:        metrics.NewRegistry(),
-		Journal:        jnl,
-	})
+	}
+	cs1 := startCoord(t, "", opts)
 	workers := []*e2eWorker{
 		newE2EWorker(t, "w1", storeDir),
 		newE2EWorker(t, "w2", storeDir),
 		newE2EWorker(t, "w3", storeDir),
 	}
 	for _, w := range workers {
-		if err := cs1.coord.Register(Worker{Name: w.name, URL: w.ts.URL}); err != nil {
+		// As cpelide-server -coordinator does: register, then heartbeat.
+		worker := Worker{Name: w.name, URL: w.ts.URL}
+		if err := RegisterWorker(context.Background(), nil, cs1.url(), worker); err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(Heartbeat(nil, cs1.url(), worker))
 	}
 
 	campaign := Campaign{
@@ -151,30 +148,14 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 		t.Fatal("no campaign request observed the coordinator outage within 30s")
 	}
 
-	// Restart over the same journal at the same address. Workers do not
-	// re-register: membership comes back from the journal.
-	jnl2, err := journal.Open(jpath, journal.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered := len(jnl2.PendingJobs())
-	if recovered == 0 {
-		t.Error("journal recovered 0 unfinished jobs from a mid-flight kill")
-	}
-	reg2 := metrics.NewRegistry()
-	cs2 := startCoord(t, cs1.addr, Options{
-		HealthInterval: 20 * time.Millisecond,
-		FailThreshold:  2,
-		ProxyTimeout:   5 * time.Second,
-		Metrics:        reg2,
-		Journal:        jnl2,
-	})
+	// Restart at the same address with no state. Membership comes back
+	// from the workers' heartbeats.
+	opts.Metrics = metrics.NewRegistry()
+	restart := time.Now()
+	cs2 := startCoord(t, cs1.addr, opts)
 	defer cs2.kill()
-	if got := len(cs2.coord.Workers()); got != 3 {
-		t.Errorf("recovered %d workers from journal, want 3", got)
-	}
-	t.Logf("coordinator restarted: %d unfinished jobs, %d workers recovered",
-		recovered, len(cs2.coord.Workers()))
+	waitHealthy(t, cs2.coord, 3)
+	t.Logf("coordinator restarted: 3 workers rejoined after %v", time.Since(restart))
 
 	out := <-done
 	if out.err != nil {
@@ -187,16 +168,22 @@ func TestChaosCoordinatorCrashRecovery(t *testing.T) {
 	if res.TransientRetries == 0 {
 		t.Error("campaign saw no transient errors despite the coordinator outage")
 	}
+	if got := healthyWorkers(cs2.coord); got != 3 {
+		t.Errorf("%d healthy workers after the campaign, want 3", got)
+	}
 	t.Logf("campaign: %.1f jobs/s, p99 %.1fms, resubmits %d, transient retries %d",
 		res.ThroughputJPS, res.P99MS, res.Resubmits, res.TransientRetries)
+}
 
-	expo := scrape(t, cs2.url())
-	if v, ok := metrics.ParseValue(expo, "cluster_journal_recovered_jobs"); !ok || v == 0 {
-		t.Errorf("cluster_journal_recovered_jobs = %v (ok=%v), want > 0", v, ok)
+// healthyWorkers counts the workers c currently routes to.
+func healthyWorkers(c *Coordinator) int {
+	n := 0
+	for _, ws := range c.Workers() {
+		if ws.Healthy {
+			n++
+		}
 	}
-	if v, ok := metrics.ParseValue(expo, "cluster_journal_errors_total"); !ok || v != 0 {
-		t.Errorf("cluster_journal_errors_total = %v (ok=%v), want 0", v, ok)
-	}
+	return n
 }
 
 func scrape(t *testing.T, baseURL string) string {

@@ -1,33 +1,30 @@
 // Package cluster turns N independent cpelide-server processes into one
-// experiment farm. A Coordinator fronts the workers: submissions are routed
-// by their content hash with rendezvous hashing over the healthy workers
-// (only a departing worker's jobs move), worker health is polled
-// continuously, and jobs tracked on a dead worker are resubmitted to the
-// surviving ones. Because job IDs are content hashes of deterministic
-// simulations, re-execution after a reroute returns byte-identical
-// results — the cluster offers at-most-once observable semantics without
-// distributed consensus. Workers pointed at one shared diskstore directory
-// make reroutes and restarts cheap: the new owner usually finds the result
-// already on disk.
+// experiment farm. A Coordinator fronts the workers and keeps no state per
+// job: submissions and job reads are routed by the job's content hash with
+// rendezvous hashing over the healthy workers (only a departing worker's
+// jobs move), worker health is polled continuously, and workers keep their
+// own membership alive by re-registering every second. A job whose worker
+// died answers 404 and the client resubmits the same body. Because job IDs
+// are content hashes of deterministic simulations, the re-execution returns
+// byte-identical results — the cluster offers at-most-once observable
+// semantics without distributed consensus. Workers pointed at one shared
+// diskstore directory make resubmits and restarts cheap: the new owner
+// usually finds the result already on disk.
 package cluster
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster/journal"
 	"repro/internal/metrics"
 )
 
@@ -56,20 +53,13 @@ type Options struct {
 	// Logger receives structured logs; nil discards.
 	Logger *slog.Logger
 
-	// Journal, when non-nil, is the coordinator's write-ahead log: accepted
-	// job bodies, terminal states, and worker membership are appended to it,
-	// and a coordinator built over an existing journal recovers that state —
-	// unfinished jobs are replayed onto the worker set, so a SIGKILL
-	// mid-campaign loses nothing. The coordinator owns the journal and
-	// closes it in Close.
-	Journal *journal.Journal
 	// Transport overrides the HTTP transport used to reach workers; nil
 	// uses http.DefaultTransport. The chaos harness injects faults here.
 	Transport http.RoundTripper
 	// HedgeAfter, when > 0, enables hedged submits: if a routed job's
 	// owner has not answered within this fixed delay, the job is re-issued
-	// to its second-ranked healthy worker — where it would be rerouted if
-	// the owner died — and the first conclusive answer wins. Safe because
+	// to its second-ranked healthy worker — the job's owner if the first
+	// owner died — and the first conclusive answer wins. Safe because
 	// jobs are content-addressed: duplicate execution returns byte-identical
 	// results.
 	HedgeAfter time.Duration
@@ -82,41 +72,26 @@ type workerState struct {
 	fails   int // consecutive failed probes
 }
 
-// trackedJob is one submission the coordinator has placed. The original
-// body is kept so the job can be replayed verbatim on another worker if its
-// owner dies before the result is fetched.
-type trackedJob struct {
-	id   string
-	body []byte
-	node string
-	done bool
-}
-
-// Coordinator routes jobs to workers and keeps them placed across failures.
+// Coordinator routes jobs to workers. Its only state is worker membership
+// and health; the workers hold the jobs.
 type Coordinator struct {
 	opts Options
 	hc   *http.Client
 	log  *slog.Logger
 	reg  *metrics.Registry
-	jnl  *journal.Journal
 
 	mu      sync.Mutex
 	workers map[string]*workerState
-	jobs    map[string]*trackedJob
 
 	routed      map[string]*metrics.Counter // per-node jobs routed
-	reroutes    *metrics.Counter
 	proxyErrors *metrics.Counter
-	journalErrs *metrics.Counter
-	replayed    *metrics.Counter
 	hedges      *metrics.Counter
 	hedgeWins   *metrics.Counter
 	submitLat   *metrics.Histogram
 
-	replaying atomic.Bool // one replayUnplaced goroutine at a time
-	healthWG  sync.WaitGroup
-	ctx       context.Context // canceled by Close; parents health probes
-	stop      context.CancelFunc
+	healthWG sync.WaitGroup
+	ctx      context.Context // canceled by Close; parents health probes
+	stop     context.CancelFunc
 }
 
 // NewCoordinator builds a coordinator and starts its health loop. Call
@@ -140,20 +115,12 @@ func NewCoordinator(o Options) *Coordinator {
 		hc:      &http.Client{Timeout: o.ProxyTimeout, Transport: o.Transport},
 		log:     log,
 		reg:     o.Metrics,
-		jnl:     o.Journal,
 		workers: make(map[string]*workerState),
-		jobs:    make(map[string]*trackedJob),
 		routed:  make(map[string]*metrics.Counter),
 	}
 	c.ctx, c.stop = context.WithCancel(context.Background())
-	c.reroutes = c.reg.Counter("cluster_reroutes_total",
-		"Jobs replayed onto a surviving worker after their owner died.")
 	c.proxyErrors = c.reg.Counter("cluster_proxy_errors_total",
 		"Failed round-trips to workers (the request may still succeed on retry).")
-	c.journalErrs = c.reg.Counter("cluster_journal_errors_total",
-		"Journal appends that failed (recovery coverage degraded, requests unaffected).")
-	c.replayed = c.reg.Counter("cluster_journal_replayed_total",
-		"Journal-recovered jobs re-placed onto workers after a restart.")
 	c.hedges = c.reg.Counter("cluster_hedges_total",
 		"Submits re-issued to a second worker after the hedge delay.")
 	c.hedgeWins = c.reg.Counter("cluster_hedge_wins_total",
@@ -176,149 +143,16 @@ func NewCoordinator(o Options) *Coordinator {
 		defer c.mu.Unlock()
 		return int64(len(c.workers))
 	})
-	c.reg.GaugeFunc("cluster_jobs_tracked", "Jobs the coordinator has placed and still remembers.", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(len(c.jobs))
-	})
-	c.reg.GaugeFunc("cluster_jobs_inflight", "Tracked jobs not yet observed done.", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		n := int64(0)
-		for _, j := range c.jobs {
-			if !j.done {
-				n++
-			}
-		}
-		return n
-	})
-	if c.jnl != nil {
-		c.reg.GaugeFunc("cluster_journal_size_bytes", "Current size of the write-ahead journal.", func() int64 {
-			return c.jnl.Size()
-		})
-		c.reg.GaugeFunc("cluster_journal_appends_total", "Records appended to the journal since open.", func() int64 {
-			return int64(c.jnl.Stats().Appends)
-		})
-		c.reg.GaugeFunc("cluster_journal_compactions_total", "Journal compactions since open.", func() int64 {
-			return int64(c.jnl.Stats().Compactions)
-		})
-		c.reg.GaugeFunc("cluster_journal_recovered_jobs", "Unfinished jobs recovered from the journal at open.", func() int64 {
-			return int64(c.jnl.Stats().RecoveredJobs)
-		})
-		c.recoverFromJournal()
-	}
 	c.healthWG.Add(1)
 	go c.healthLoop()
 	return c
 }
 
-// recoverFromJournal loads the journal's replayed state — worker membership
-// and unfinished jobs — into the coordinator before it starts serving. The
-// health loop immediately validates the recovered workers (dead ones fail
-// their probes and drop out), and recovered jobs are re-placed by
-// replayUnplaced or by the first client poll, whichever comes first.
-func (c *Coordinator) recoverFromJournal() {
-	c.mu.Lock()
-	for name, body := range c.jnl.Workers() {
-		var w Worker
-		if err := json.Unmarshal(body, &w); err != nil || w.Name == "" || w.URL == "" {
-			c.log.Error("journal: bad worker record", "name", name, "err", err)
-			continue
-		}
-		c.workers[w.Name] = &workerState{Worker: w, healthy: true}
-	}
-	pending := c.jnl.PendingJobs()
-	for id, body := range pending {
-		c.jobs[id] = &trackedJob{id: id, body: body}
-	}
-	workers, jobs := len(c.workers), len(c.jobs)
-	c.mu.Unlock()
-	if workers+jobs > 0 {
-		c.log.Info("journal recovery", "workers", workers, "unfinished_jobs", jobs,
-			"truncated_bytes", c.jnl.Stats().TruncatedBytes)
-	}
-	if jobs > 0 {
-		c.replayUnplaced()
-	}
-}
-
-// replayUnplaced places every tracked job that has no owner (recovered from
-// the journal, or whose placement failed outright) onto the current worker
-// set. At most one replay pass runs at a time; it is kicked at recovery and
-// whenever a worker (re)registers.
-func (c *Coordinator) replayUnplaced() {
-	if !c.replaying.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer c.replaying.Store(false)
-		c.mu.Lock()
-		var moving []*trackedJob
-		for _, tj := range c.jobs {
-			if tj.node == "" && !tj.done {
-				moving = append(moving, tj)
-			}
-		}
-		c.mu.Unlock()
-		if len(moving) == 0 {
-			return
-		}
-		// Deterministic order so recovery runs are comparable.
-		sort.Slice(moving, func(i, j int) bool { return moving[i].id < moving[j].id })
-		placed := 0
-		for _, tj := range moving {
-			ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProxyTimeout)
-			resp, err := c.place(ctx, tj)
-			cancel()
-			if err != nil {
-				// Stays unplaced; the next registration or client poll
-				// retries it.
-				c.log.Error("replay failed", "job_id", tj.id, "err", err)
-				continue
-			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
-			resp.Body.Close()
-			c.replayed.Inc()
-			placed++
-		}
-		c.log.Info("replayed recovered jobs", "placed", placed, "of", len(moving))
-	}()
-}
-
-// journalAccept records an accepted job. Journal failures are counted and
-// logged but never fail the request: the journal is a recovery accelerator,
-// not an admission gate.
-func (c *Coordinator) journalAccept(id string, body []byte) {
-	if c.jnl == nil {
-		return
-	}
-	if err := c.jnl.Accept(id, body); err != nil {
-		c.journalErrs.Inc()
-		c.log.Error("journal accept", "job_id", id, "err", err)
-	}
-}
-
-// journalDone records a job reaching a terminal state.
-func (c *Coordinator) journalDone(id string) {
-	if c.jnl == nil {
-		return
-	}
-	if err := c.jnl.Done(id); err != nil {
-		c.journalErrs.Inc()
-		c.log.Error("journal done", "job_id", id, "err", err)
-	}
-}
-
-// Close stops the health loop, canceling a probe in flight, and closes the
-// journal. In-flight proxied requests finish on their own timeouts.
+// Close stops the health loop, canceling a probe in flight. In-flight
+// proxied requests finish on their own timeouts.
 func (c *Coordinator) Close() {
 	c.stop()
 	c.healthWG.Wait()
-	if c.jnl != nil {
-		if err := c.jnl.Close(); err != nil {
-			c.log.Error("journal close", "err", err)
-		}
-	}
 }
 
 // routedCounter returns the per-node routing counter, creating the labeled
@@ -333,51 +167,35 @@ func (c *Coordinator) routedCounter(node string) *metrics.Counter {
 	return ctr
 }
 
-// Register adds or updates a worker; the next routing decision includes it.
-// Re-registering an identical healthy worker is a no-op (workers retry
-// registration across coordinator restarts), so it does not grow the
-// journal.
+// Register adds a worker, or moves a known name to a new URL; the next
+// routing decision includes it. Workers re-send their registration every
+// heartbeatInterval, so a known name with the same URL is a no-op: its
+// health stays with the probe loop, and a worker failing its probes is not
+// revived by its own heartbeat.
 func (c *Coordinator) Register(w Worker) error {
 	if w.Name == "" || w.URL == "" {
 		return fmt.Errorf("cluster: registration needs name and url, got %+v", w)
 	}
 	c.mu.Lock()
-	if prev, ok := c.workers[w.Name]; ok && prev.Worker == w && prev.healthy {
+	if prev, ok := c.workers[w.Name]; ok && prev.Worker == w {
 		c.mu.Unlock()
 		return nil
 	}
 	c.workers[w.Name] = &workerState{Worker: w, healthy: true}
 	c.mu.Unlock()
-	if c.jnl != nil {
-		body, err := json.Marshal(w)
-		if err == nil {
-			err = c.jnl.Worker(w.Name, body)
-		}
-		if err != nil {
-			c.journalErrs.Inc()
-			c.log.Error("journal worker", "node", w.Name, "err", err)
-		}
-	}
 	c.log.Info("worker registered", "node", w.Name, "url", w.URL)
-	c.replayUnplaced()
 	return nil
 }
 
-// Deregister removes a worker (clean shutdown path) and reroutes its jobs.
+// Deregister removes a worker (clean shutdown path). Its jobs go with it:
+// a read answers 404 and the client resubmits to the new owner.
 func (c *Coordinator) Deregister(name string) bool {
 	c.mu.Lock()
 	_, ok := c.workers[name]
 	delete(c.workers, name)
 	c.mu.Unlock()
 	if ok {
-		if c.jnl != nil {
-			if err := c.jnl.WorkerGone(name); err != nil {
-				c.journalErrs.Inc()
-				c.log.Error("journal worker-gone", "node", name, "err", err)
-			}
-		}
 		c.log.Info("worker deregistered", "node", name)
-		c.rerouteFrom(name)
 	}
 	return ok
 }
@@ -452,8 +270,8 @@ func rendezvous(key uint64, names []string) string {
 
 // route resolves a job ID to the highest-ranked healthy worker other than
 // skip. With skip == "" that is the job's owner; with skip == owner it is
-// the second-ranked worker — the hedge target, and where the job would be
-// rerouted if its owner died.
+// the second-ranked worker — the hedge target, and the job's owner if the
+// first one dies.
 func (c *Coordinator) route(id, skip string) (name, url string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -471,8 +289,7 @@ func (c *Coordinator) route(id, skip string) (name, url string, err error) {
 }
 
 // noteFailure records one failed round-trip to a worker; at FailThreshold
-// consecutive failures the worker is marked dead, routing skips it, and its
-// jobs are replayed elsewhere.
+// consecutive failures the worker is marked dead and routing skips it.
 func (c *Coordinator) noteFailure(node string) {
 	c.proxyErrors.Inc()
 	c.mu.Lock()
@@ -488,7 +305,6 @@ func (c *Coordinator) noteFailure(node string) {
 	c.mu.Unlock()
 	if dead {
 		c.log.Warn("worker marked dead", "node", node)
-		c.rerouteFrom(node)
 	}
 }
 
@@ -541,8 +357,8 @@ func (c *Coordinator) healthLoop() {
 			if ok {
 				c.noteSuccess(name)
 			} else {
-				// Unreachable, or a draining worker's 503: stop routing new
-				// jobs to it and move its unfinished ones.
+				// Unreachable, or a draining worker's 503: stop routing
+				// jobs to it.
 				c.noteFailure(name)
 			}
 		}
@@ -574,25 +390,25 @@ const (
 	placeBaseDelay = 50 * time.Millisecond
 )
 
-// place submits a tracked job to its current owner, retrying (and letting
+// place submits a job body to its current owner, retrying (and letting
 // failure-driven health changes pick new owners) until a worker accepts it.
-func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response, error) {
+func (c *Coordinator) place(ctx context.Context, id string, body []byte) (*http.Response, error) {
 	var last error
 	for attempt := 0; attempt < placeAttempts; attempt++ {
 		if attempt > 0 {
 			delay := placeBaseDelay << (attempt - 1)
 			select {
 			case <-ctx.Done():
-				return nil, fmt.Errorf("%w: %s: %v (last: %v)", ErrJobLost, tj.id, ctx.Err(), last)
+				return nil, fmt.Errorf("%w: %s: %v (last: %v)", ErrJobLost, id, ctx.Err(), last)
 			case <-time.After(time.Duration(rand.Int63n(int64(delay) + 1))):
 			}
 		}
-		node, url, err := c.route(tj.id, "")
+		node, url, err := c.route(id, "")
 		if err != nil {
 			last = err
 			continue
 		}
-		resp, node, err := c.submitHedged(ctx, tj, node, url)
+		resp, node, err := c.submitHedged(ctx, id, body, node, url)
 		if err != nil {
 			last = err
 			c.noteFailure(node)
@@ -601,8 +417,6 @@ func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response
 		switch {
 		case resp.StatusCode < 300:
 			c.mu.Lock()
-			tj.node = node
-			c.jobs[tj.id] = tj
 			c.routedCounter(node).Inc()
 			c.mu.Unlock()
 			c.noteSuccess(node)
@@ -610,7 +424,7 @@ func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response
 		case resp.StatusCode == http.StatusTooManyRequests ||
 			resp.StatusCode == http.StatusServiceUnavailable:
 			// Backpressure or drain: same worker may accept after backoff,
-			// or the health loop reroutes around it.
+			// or the health loop routes around it.
 			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 			resp.Body.Close()
 			last = fmt.Errorf("%s answered %d", node, resp.StatusCode)
@@ -625,14 +439,13 @@ func (c *Coordinator) place(ctx context.Context, tj *trackedJob) (*http.Response
 			return resp, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrJobLost, tj.id, placeAttempts, last)
+	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrJobLost, id, placeAttempts, last)
 }
 
 // submitTo posts one job body to a worker and records the round-trip
 // latency in cluster_submit_latency_us.
 func (c *Coordinator) submitTo(ctx context.Context, url string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		url+"/v1/jobs", bytes.NewReader(body))
+	req, err := newProxyRequest(ctx, http.MethodPost, url+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -687,14 +500,14 @@ func (c *Coordinator) launchSubmit(ctx context.Context, node, url string, body [
 // second-ranked healthy worker. The first conclusive answer (anything but a transport error,
 // backpressure, or a 5xx) wins; the straggler is reaped in the background.
 // Returns the winning response and the node that produced it.
-func (c *Coordinator) submitHedged(ctx context.Context, tj *trackedJob, node, url string) (*http.Response, string, error) {
+func (c *Coordinator) submitHedged(ctx context.Context, id string, body []byte, node, url string) (*http.Response, string, error) {
 	delay := c.opts.HedgeAfter
 	if delay <= 0 {
-		resp, err := c.submitTo(ctx, url, tj.body)
+		resp, err := c.submitTo(ctx, url, body)
 		return resp, node, err
 	}
 	results := make(chan submitResult, 2)
-	c.launchSubmit(ctx, node, url, tj.body, results)
+	c.launchSubmit(ctx, node, url, body, results)
 	outstanding := 1
 	hedgeNode := ""
 	timer := time.NewTimer(delay)
@@ -707,15 +520,15 @@ func (c *Coordinator) submitHedged(ctx context.Context, tj *trackedJob, node, ur
 			// the results channel is buffered so they never block.
 			return nil, node, ctx.Err()
 		case <-timer.C:
-			hNode, hURL, err := c.route(tj.id, node)
+			hNode, hURL, err := c.route(id, node)
 			if err != nil || outstanding != 1 {
 				continue
 			}
 			hedgeNode = hNode
 			c.hedges.Inc()
-			c.launchSubmit(ctx, hNode, hURL, tj.body, results)
+			c.launchSubmit(ctx, hNode, hURL, body, results)
 			outstanding++
-			c.log.Info("hedged submit", "job_id", tj.id, "owner", node,
+			c.log.Info("hedged submit", "job_id", id, "owner", node,
 				"hedge", hNode, "after", delay)
 		case r := <-results:
 			outstanding--
@@ -760,40 +573,4 @@ func lastStatus(r submitResult) int {
 		return r.resp.StatusCode
 	}
 	return 0
-}
-
-// rerouteFrom replays every unfinished job owned by a dead worker onto the
-// survivors. Zero-lost is the contract the e2e campaign asserts: a job is
-// only dropped if no healthy worker accepts it within placeAttempts.
-func (c *Coordinator) rerouteFrom(dead string) {
-	c.mu.Lock()
-	var moving []*trackedJob
-	for _, tj := range c.jobs {
-		if tj.node == dead && !tj.done {
-			moving = append(moving, tj)
-		}
-	}
-	c.mu.Unlock()
-	if len(moving) == 0 {
-		return
-	}
-	c.log.Warn("rerouting jobs", "from", dead, "jobs", len(moving))
-	for _, tj := range moving {
-		ctx, cancel := context.WithTimeout(context.Background(), c.opts.ProxyTimeout)
-		resp, err := c.place(ctx, tj)
-		cancel()
-		if err != nil {
-			// The job stays tracked on the dead node; the next health-state
-			// change or client poll retries it.
-			c.log.Error("reroute failed", "job_id", tj.id, "err", err)
-			continue
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		c.reroutes.Inc()
-		c.mu.Lock() // a concurrent place of the same job may move it again
-		to := tj.node
-		c.mu.Unlock()
-		c.log.Info("job rerouted", "job_id", tj.id, "from", dead, "to", to)
-	}
 }

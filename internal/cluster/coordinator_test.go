@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,6 +26,11 @@ type fakeWorker struct {
 	name string
 	ts   *httptest.Server
 
+	// dropSubmits stalls every submit for a second (or until the caller
+	// gives up) and then refuses it; unhealthy fails /healthz.
+	dropSubmits atomic.Bool
+	unhealthy   atomic.Bool
+
 	mu   sync.Mutex
 	jobs map[string]json.RawMessage // id -> canned "report"
 }
@@ -33,7 +40,17 @@ func newFakeWorker(t *testing.T, name string) *fakeWorker {
 	fw := &fakeWorker{name: name, jobs: make(map[string]json.RawMessage)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		// Read the body first: the server notices a caller hanging up
+		// only once it has.
 		body, _ := io.ReadAll(r.Body)
+		if fw.dropSubmits.Load() {
+			select {
+			case <-r.Context().Done():
+			case <-time.After(time.Second):
+			}
+			server.WriteError(w, http.StatusServiceUnavailable, server.ErrCodeInternal, "dropped")
+			return
+		}
 		var req server.JobRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			server.WriteError(w, http.StatusBadRequest, server.ErrCodeBadRequest, "%v", err)
@@ -76,6 +93,10 @@ func newFakeWorker(t *testing.T, name string) *fakeWorker {
 		server.WriteJSON(w, http.StatusOK, server.StatusResponse{ID: id, Status: "done"})
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		if fw.unhealthy.Load() {
+			server.WriteError(w, http.StatusServiceUnavailable, server.ErrCodeDraining, "unhealthy")
+			return
+		}
 		server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	fw.ts = httptest.NewServer(mux)
@@ -87,6 +108,13 @@ func (fw *fakeWorker) count() int {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	return len(fw.jobs)
+}
+
+func (fw *fakeWorker) holds(id string) bool {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	_, ok := fw.jobs[id]
+	return ok
 }
 
 // testCoordinator builds a coordinator with a fast health loop and its HTTP
@@ -105,10 +133,32 @@ func testCoordinator(t *testing.T, reg *metrics.Registry) (*Coordinator, *httpte
 	return c, ts
 }
 
+// jobBody is the i-th distinct job body the coordinator tests submit.
+func jobBody(i int) string {
+	return fmt.Sprintf(`{"workload":"square","scale":%g,"protocol":"cpelide"}`, 0.05+float64(i)*1e-4)
+}
+
+// jobID is the content-hash ID a worker assigns to body.
+func jobID(t *testing.T, body string) string {
+	t.Helper()
+	var req server.JobRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	job, err := req.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := job.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 func submitJob(t *testing.T, baseURL string, i int) (string, int) {
 	t.Helper()
-	body := fmt.Sprintf(`{"workload":"square","scale":%g,"protocol":"cpelide"}`, 0.05+float64(i)*1e-4)
-	resp, err := http.Post(baseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+	resp, err := http.Post(baseURL+"/v1/jobs", "application/json", strings.NewReader(jobBody(i)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +246,43 @@ func TestNoWorkers(t *testing.T) {
 	}
 }
 
-// TestWorkerDeathReroutes kills one of three workers and verifies its jobs
-// are replayed onto survivors: every job's result stays fetchable through
-// the coordinator and the reroute counters move.
+// getJob reads path (a job's status or result) and returns the status
+// code and body.
+func getJob(t *testing.T, baseURL, path string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(baseURL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// waitHealthy waits up to 5s for the coordinator to count want healthy
+// workers.
+func waitHealthy(t *testing.T, c *Coordinator, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		healthy := healthyWorkers(c)
+		if healthy == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d healthy workers after 5s, want %d", healthy, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWorkerDeathReroutes kills one of three workers. Once the health loop
+// marks it dead, every job answers 200 from a survivor: straight away if
+// its owner survived, or after the one resubmit a client makes on the 404
+// the coordinator answers for a job whose worker died.
 func TestWorkerDeathReroutes(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c, ts := testCoordinator(t, reg)
@@ -230,56 +314,30 @@ func TestWorkerDeathReroutes(t *testing.T) {
 	}
 	lost := victim.count()
 	if lost == 0 {
-		t.Fatal("victim held no jobs; test cannot exercise rerouting")
+		t.Fatal("victim held no jobs; test cannot exercise its death")
 	}
 	victim.ts.Close()
+	waitHealthy(t, c, 2) // 2 probes at 20ms, plus slack
 
-	// Wait for the health loop to notice (2 probes at 20ms, plus slack).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("health loop never marked the victim dead")
-		}
-		healthy := 0
-		for _, ws := range c.Workers() {
-			if ws.Healthy {
-				healthy++
+	resubmits := 0
+	for i, id := range ids {
+		code, body := getJob(t, ts.URL, "/v1/jobs/"+id+"/result")
+		if code == http.StatusNotFound {
+			resubmits++
+			if again, code := submitJob(t, ts.URL, i); again != id || code != http.StatusAccepted {
+				t.Fatalf("resubmit of job %s: %d %s", id, code, again)
 			}
+			code, body = getJob(t, ts.URL, "/v1/jobs/"+id+"/result")
 		}
-		if healthy == 2 {
-			break
+		if code != http.StatusOK {
+			t.Fatalf("job %s: %d %s after at most one resubmit, want 200", id, code, body)
 		}
-		time.Sleep(10 * time.Millisecond)
+		if bytes.Contains(body, []byte(victim.name)) {
+			t.Fatalf("job %s still served by dead worker %s", id, victim.name)
+		}
 	}
-
-	// Every job — including the victim's — must still resolve via the
-	// coordinator. Rerouted jobs may briefly answer 202 while replaying.
-	for _, id := range ids {
-		var ok bool
-		for attempt := 0; attempt < 50; attempt++ {
-			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusAccepted {
-				if ra := resp.Header.Get("Retry-After"); ra != server.PendingRetryAfter {
-					t.Fatalf("replayed job's 202 Retry-After = %q, want %q", ra, server.PendingRetryAfter)
-				}
-			}
-			if resp.StatusCode == http.StatusOK {
-				if bytes.Contains(body, []byte(victim.name)) {
-					t.Fatalf("job %s still served by dead worker %s", id, victim.name)
-				}
-				ok = true
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		if !ok {
-			t.Fatalf("job %s lost after worker death", id)
-		}
+	if resubmits != lost {
+		t.Errorf("%d jobs needed a resubmit, want the dead worker's %d", resubmits, lost)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -288,16 +346,13 @@ func TestWorkerDeathReroutes(t *testing.T) {
 	}
 	exposition, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	if v, ok := metrics.ParseValue(string(exposition), "cluster_reroutes_total"); !ok || v == 0 {
-		t.Errorf("cluster_reroutes_total = %v (ok=%v), want > 0", v, ok)
-	}
 	if v, ok := metrics.ParseValue(string(exposition), "cluster_workers_healthy"); !ok || v != 2 {
 		t.Errorf("cluster_workers_healthy = %v (ok=%v), want 2", v, ok)
 	}
 }
 
-// TestDeregisterMovesJobs: a clean deregistration replays the departing
-// worker's jobs immediately, without waiting for health probes.
+// TestDeregisterMovesJobs: after a clean deregistration, submits and
+// resubmits land only on the remaining worker.
 func TestDeregisterMovesJobs(t *testing.T) {
 	c, ts := testCoordinator(t, nil)
 	w1, w2 := newFakeWorker(t, "w1"), newFakeWorker(t, "w2")
@@ -323,8 +378,237 @@ func TestDeregisterMovesJobs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("deregister: status %d", resp.StatusCode)
 	}
-	if got := w2.count(); got != jobs {
-		t.Fatalf("after deregister w2 holds %d jobs, want all %d", got, jobs)
+	before := w1.count()
+	const fresh = 10 // new bodies after the deregistration
+	for i := 0; i < jobs+fresh; i++ {
+		if _, code := submitJob(t, ts.URL, i); code != http.StatusAccepted {
+			t.Fatalf("submit %d after deregister: status %d", i, code)
+		}
+	}
+	if got := w1.count(); got != before {
+		t.Errorf("deregistered w1 took %d more jobs", got-before)
+	}
+	if got := w2.count(); got != jobs+fresh {
+		t.Fatalf("after deregister w2 holds %d jobs, want all %d", got, jobs+fresh)
+	}
+}
+
+// TestHeartbeatKeepsProbeVerdict: a worker whose /healthz fails stays out
+// of routing while it keeps re-registering; only a passing probe brings it
+// back.
+func TestHeartbeatKeepsProbeVerdict(t *testing.T) {
+	c, ts := testCoordinator(t, nil)
+	fw := newFakeWorker(t, "w1")
+	fw.unhealthy.Store(true)
+	w := Worker{Name: fw.name, URL: fw.ts.URL}
+	if err := c.Register(w); err != nil {
+		t.Fatal(err)
+	}
+	waitHealthy(t, c, 0)
+	for beat := 0; beat < 20; beat++ {
+		if _, err := register(context.Background(), nil, ts.URL, w); err != nil {
+			t.Fatal(err)
+		}
+		if ws := c.Workers(); len(ws) != 1 || ws[0].Healthy {
+			t.Fatalf("after re-registration %d the failing worker reads %+v, want one unhealthy", beat, ws)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	fw.unhealthy.Store(false)
+	waitHealthy(t, c, 1)
+}
+
+// TestJobReadsNeedNoCoordinatorState: the coordinator routes a job read by
+// the job's ID alone, so it finds jobs it never placed.
+func TestJobReadsNeedNoCoordinatorState(t *testing.T) {
+	registerAll := func(t *testing.T, c *Coordinator, workers []*fakeWorker) {
+		t.Helper()
+		for _, fw := range workers {
+			if err := c.Register(Worker{Name: fw.name, URL: fw.ts.URL}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	readBoth := func(t *testing.T, baseURL, id string) []byte {
+		t.Helper()
+		if code, body := getJob(t, baseURL, "/v1/jobs/"+id); code != http.StatusOK {
+			t.Fatalf("status of %s: %d %s, want 200", id[:12], code, body)
+		}
+		code, body := getJob(t, baseURL, "/v1/jobs/"+id+"/result")
+		if code != http.StatusOK {
+			t.Fatalf("result of %s: %d %s, want 200", id[:12], code, body)
+		}
+		return body
+	}
+
+	t.Run("submitted straight to a worker", func(t *testing.T) {
+		c, ts := testCoordinator(t, nil)
+		workers := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2"), newFakeWorker(t, "w3")}
+		registerAll(t, c, workers)
+		for i := 0; i < 6; i++ {
+			body := jobBody(i)
+			_, url, err := c.route(jobID(t, body), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(url+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			readBoth(t, ts.URL, jobID(t, body))
+		}
+	})
+
+	t.Run("fresh coordinator over the same workers", func(t *testing.T) {
+		c1, ts1 := testCoordinator(t, nil)
+		workers := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2"), newFakeWorker(t, "w3")}
+		registerAll(t, c1, workers)
+		const jobs = 12
+		ids := make([]string, jobs)
+		for i := range ids {
+			var code int
+			if ids[i], code = submitJob(t, ts1.URL, i); code != http.StatusAccepted {
+				t.Fatalf("submit %d: status %d", i, code)
+			}
+		}
+		c2, ts2 := testCoordinator(t, nil)
+		registerAll(t, c2, workers)
+		for _, id := range ids {
+			readBoth(t, ts2.URL, id)
+		}
+		placed := 0
+		for _, fw := range workers {
+			placed += fw.count()
+		}
+		if placed != jobs {
+			t.Errorf("workers hold %d jobs after the reads, want the %d submitted: a read resubmitted", placed, jobs)
+		}
+	})
+
+	t.Run("won by a hedge", func(t *testing.T) {
+		reg := metrics.NewRegistry()
+		c := NewCoordinator(Options{
+			HealthInterval: 20 * time.Millisecond,
+			FailThreshold:  2,
+			ProxyTimeout:   2 * time.Second,
+			Metrics:        reg,
+			HedgeAfter:     20 * time.Millisecond,
+		})
+		t.Cleanup(c.Close)
+		ts := httptest.NewServer(c.Handler())
+		t.Cleanup(ts.Close)
+		workers := map[string]*fakeWorker{"w1": newFakeWorker(t, "w1"), "w2": newFakeWorker(t, "w2")}
+		for _, fw := range workers {
+			if err := c.Register(Worker{Name: fw.name, URL: fw.ts.URL}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id := jobID(t, jobBody(0))
+		ownerName, _, err := c.route(id, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		secondName, _, err := c.route(id, ownerName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, second := workers[ownerName], workers[secondName]
+		owner.dropSubmits.Store(true) // stalls past HedgeAfter, then refuses
+
+		if got, code := submitJob(t, ts.URL, 0); got != id || code != http.StatusAccepted {
+			t.Fatalf("hedged submit: %d %s", code, got)
+		}
+		if owner.holds(id) || !second.holds(id) {
+			t.Fatalf("job held by owner %v, second %v; want only the second", owner.holds(id), second.holds(id))
+		}
+		if wins, _ := metrics.ParseValue(scrape(t, ts.URL), "cluster_hedge_wins_total"); wins != 1 {
+			t.Fatalf("cluster_hedge_wins_total = %v, want 1", wins)
+		}
+		if body := readBoth(t, ts.URL, id); !bytes.Contains(body, []byte(secondName)) {
+			t.Fatalf("result %s not served by the hedge winner %s", body, secondName)
+		}
+		placed := owner.count() + second.count()
+		if placed != 1 {
+			t.Errorf("workers hold %d jobs after the reads, want 1: a read resubmitted", placed)
+		}
+	})
+
+	t.Run("unknown to both workers", func(t *testing.T) {
+		c, ts := testCoordinator(t, nil)
+		id := jobID(t, jobBody(0))
+		if code, body := getJob(t, ts.URL, "/v1/jobs/"+id); code != http.StatusServiceUnavailable {
+			t.Fatalf("read with no workers: %d %s, want 503", code, body)
+		}
+		registerAll(t, c, []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2"), newFakeWorker(t, "w3")})
+		for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs/" + id + "/result"} {
+			if code, body := getJob(t, ts.URL, path); code != http.StatusNotFound {
+				t.Fatalf("GET %s of a job no worker holds: %d %s, want 404", path, code, body)
+			}
+		}
+	})
+}
+
+// TestRequestIDThroughCoordinator: every request the coordinator proxies
+// carries its X-Request-ID, so a worker's error body relayed through it
+// names the ID in the response header — the one the coordinator drew, or
+// the one the client sent.
+func TestRequestIDThroughCoordinator(t *testing.T) {
+	c, ts := testCoordinator(t, nil)
+	eng := farm.New(farm.Options{Workers: 1})
+	t.Cleanup(eng.Close)
+	s := server.New(eng, 4)
+	wts := httptest.NewServer(s.Handler())
+	t.Cleanup(wts.Close)
+	t.Cleanup(s.Drain)
+	if err := c.Register(Worker{Name: "w1", URL: wts.URL}); err != nil {
+		t.Fatal(err)
+	}
+
+	// An unknown workload passes admission and fails when it runs.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"nope"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr server.StatusResponse
+	_ = json.NewDecoder(resp.Body).Decode(&sr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+
+	for _, sent := range []string{"", "corr-coordinator-hop"} {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+sr.ID+"/result", nil)
+			if sent != "" {
+				req.Header.Set("X-Request-ID", sent)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusAccepted && time.Now().Before(deadline) {
+				continue // still running; the worker held the read
+			}
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("failed job's result: %d %s, want 500", resp.StatusCode, body)
+			}
+			var e server.ErrorResponse
+			if err := json.Unmarshal(body, &e); err != nil || e.Code != server.ErrCodeJobFailed {
+				t.Fatalf("failed job's body %s (%v), want code %s", body, err, server.ErrCodeJobFailed)
+			}
+			header := resp.Header.Get("X-Request-ID")
+			if e.RequestID != header {
+				t.Errorf("body request_id %q, header X-Request-ID %q: the worker did not get the coordinator's ID", e.RequestID, header)
+			}
+			if sent != "" && (header != sent || e.RequestID != sent) {
+				t.Errorf("client sent %q; header %q, body %q", sent, header, e.RequestID)
+			}
+			break
+		}
 	}
 }
 
@@ -471,7 +755,7 @@ func TestHungWorkerProbe(t *testing.T) {
 		HealthInterval: 20 * time.Millisecond,
 		ProxyTimeout:   30 * time.Second,
 	})
-	t.Cleanup(c.Close) // a second Close is a no-op without a journal
+	t.Cleanup(c.Close) // a second Close is a no-op
 	for _, w := range []Worker{{Name: "hung", URL: hung.URL}, {Name: "ok", URL: healthy.ts.URL}} {
 		if err := c.Register(w); err != nil {
 			t.Fatal(err)

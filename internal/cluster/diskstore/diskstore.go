@@ -6,7 +6,7 @@
 // a worker that restarts warm-starts its cache from disk, and workers that
 // share one store directory — a shared filesystem in a real deployment, a
 // common tmpdir in the local cluster — share every computed result, so a
-// job rerouted after a node failure is a store hit, not a recompute.
+// job resubmitted after a node failure is a store hit, not a recompute.
 //
 // Integrity: each entry is a versioned envelope ("diskstore/v1") carrying
 // the raw report JSON plus its CRC-32C, so a bit-flipped or truncated file

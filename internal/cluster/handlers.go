@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/server"
 )
 
-// maxBody bounds request bodies the coordinator will buffer for replay.
+// maxBody bounds the request and response bodies the coordinator buffers.
 const maxBody = 1 << 20
 
 // Handler returns the coordinator's HTTP surface. It mirrors the worker API
@@ -41,8 +42,27 @@ func (c *Coordinator) Handler() http.Handler {
 
 var requestSeq atomic.Uint64
 
-// middleware stamps X-Request-ID (honoring a client-sent one) and logs the
-// request, mirroring the worker middleware so IDs correlate across hops.
+// requestIDKey carries the request's X-Request-ID in its context, so every
+// request proxied on its behalf sends the same ID to the worker.
+type requestIDKey struct{}
+
+// newProxyRequest builds a request to a worker that carries the
+// X-Request-ID of the client request ctx belongs to, so the worker logs it
+// and echoes it in any error body the coordinator relays.
+func newProxyRequest(ctx context.Context, method, url string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if id, ok := ctx.Value(requestIDKey{}).(string); ok {
+		req.Header.Set("X-Request-ID", id)
+	}
+	return req, nil
+}
+
+// middleware stamps X-Request-ID (honoring a client-sent one), hands it to
+// the proxied requests through the context, and logs the request,
+// mirroring the worker middleware so IDs correlate across hops.
 func (c *Coordinator) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -56,15 +76,14 @@ func (c *Coordinator) middleware(next http.Handler) http.Handler {
 		}
 		w.Header().Set("X-Request-ID", id)
 		start := time.Now()
-		next.ServeHTTP(w, r)
+		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 		c.log.Info("request", "request_id", id, "method", r.Method,
 			"path", r.URL.Path, "dur_us", time.Since(start).Microseconds())
 	})
 }
 
 // handleSubmit routes one job by content hash. The body is decoded only to
-// compute the routing key; the worker receives the original bytes, so the
-// coordinator can replay them verbatim after a worker death.
+// compute the routing key; the worker receives the original bytes.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
 	if err != nil {
@@ -86,18 +105,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, server.ErrCodeBadRequest, "%v", err)
 		return
 	}
-
-	c.mu.Lock()
-	tj, known := c.jobs[id]
-	c.mu.Unlock()
-	if !known {
-		tj = &trackedJob{id: id, body: body}
-		// Journal before placing: if the process dies between here and the
-		// worker's ack, restart recovery replays the job — a duplicate
-		// execution is harmless because results are content-addressed.
-		c.journalAccept(id, body)
-	}
-	resp, err := c.place(r.Context(), tj)
+	resp, err := c.place(r.Context(), id, body)
 	if err != nil {
 		server.WriteError(w, http.StatusServiceUnavailable, server.ErrCodeInternal, "%v", err)
 		return
@@ -105,109 +113,71 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	copyResponse(w, resp)
 }
 
-// handleJobGet proxies status and result polls to the job's owner. A worker
-// that forgot a tracked job (it restarted) gets the job replayed and the
-// client a 202 to poll again — the job is delayed, never lost.
+// handleJobGet proxies a status or result read to the job's rendezvous
+// owner among the healthy workers. If the owner does not know the job, the
+// read goes to the second-ranked worker, the only other one a hedge or an
+// owner's death can have placed it on. It answers 404 only when both
+// workers do, and the client resubmits the body.
 func (c *Coordinator) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	c.mu.Lock()
-	tj, tracked := c.jobs[id]
-	var node, url string
-	if tracked {
-		if ws := c.workers[tj.node]; ws != nil {
-			node, url = tj.node, ws.URL
+	owner := ""
+	for {
+		node, url, err := c.route(id, owner)
+		if err != nil {
+			if owner == "" {
+				server.WriteError(w, http.StatusServiceUnavailable, server.ErrCodeInternal, "%v", err)
+			} else {
+				server.WriteError(w, http.StatusNotFound, server.ErrCodeNotFound, "unknown job %q", id)
+			}
+			return
 		}
-	}
-	c.mu.Unlock()
-	if !tracked {
-		server.WriteError(w, http.StatusNotFound, server.ErrCodeNotFound, "unknown job %q", id)
+		req, err := newProxyRequest(r.Context(), http.MethodGet, url+r.URL.Path, nil)
+		if err != nil {
+			server.WriteError(w, http.StatusInternalServerError, server.ErrCodeInternal, "%v", err)
+			return
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			if r.Context().Err() == nil { // not the client hanging up
+				c.noteFailure(node)
+			}
+			server.WriteError(w, http.StatusBadGateway, server.ErrCodeInternal,
+				"worker %s unreachable; retry: %v", node, err)
+			return
+		}
+		if resp.StatusCode == http.StatusNotFound && owner == "" {
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+			resp.Body.Close()
+			owner = node
+			continue
+		}
+		if !bufferBody(resp) {
+			// The worker's body could not be read in full (connection died
+			// mid-response): answering 200 with partial bytes would hand the
+			// client a wrong answer, so fail the read and let it retry.
+			c.proxyErrors.Inc()
+			server.WriteError(w, http.StatusBadGateway, server.ErrCodeInternal,
+				"worker response truncated; retry")
+			return
+		}
+		copyResponse(w, resp)
 		return
 	}
-	if url == "" {
-		// Owner is gone entirely (deregistered): replace it now.
-		c.replayTracked(w, r, tj)
-		return
-	}
-
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url+r.URL.Path, nil)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, server.ErrCodeInternal, "%v", err)
-		return
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.noteFailure(node)
-		c.replayTracked(w, r, tj)
-		return
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		c.replayTracked(w, r, tj)
-		return
-	}
-	if !c.observeJobResponse(tj, r.URL.Path, resp) {
-		// The worker's body could not be read in full (connection died
-		// mid-response): answering 200 with partial bytes would hand the
-		// client a wrong answer, so fail the poll and let it retry.
-		c.proxyErrors.Inc()
-		server.WriteError(w, http.StatusBadGateway, server.ErrCodeInternal,
-			"worker response truncated; retry")
-		return
-	}
-	copyResponse(w, resp)
 }
 
-// replayTracked re-places a tracked job whose owner no longer remembers it
-// and answers 202 so the client keeps polling. The hint is the worker's own
-// pending-result one: the next poll reaches the new owner, which holds it
-// until the job finishes.
-func (c *Coordinator) replayTracked(w http.ResponseWriter, r *http.Request, tj *trackedJob) {
-	resp, err := c.place(r.Context(), tj)
-	if err != nil {
-		server.WriteError(w, http.StatusServiceUnavailable, server.ErrCodeInternal, "%v", err)
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, maxBody))
-	resp.Body.Close()
-	c.reroutes.Inc()
-	w.Header().Set("Retry-After", server.PendingRetryAfter)
-	server.WriteJSON(w, http.StatusAccepted, server.StatusResponse{ID: tj.id, Status: "queued"})
-}
-
-// observeJobResponse peeks at a successful poll to learn a job finished, so
-// worker deaths stop triggering replays of already-delivered results. The
-// body is re-buffered because peeking consumes it. Returns false when the
-// body could not be read in full — the response must not be relayed.
-func (c *Coordinator) observeJobResponse(tj *trackedJob, path string, resp *http.Response) bool {
+// bufferBody reads a 200 response's body into memory, so a body cut off
+// mid-read is caught before any byte is relayed. Other statuses are left
+// unread. Returns false when the body could not be read in full.
+func bufferBody(resp *http.Response) bool {
 	if resp.StatusCode != http.StatusOK {
 		return true
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody))
 	resp.Body.Close()
 	if err != nil {
-		resp.Body = io.NopCloser(bytes.NewReader(nil))
 		return false
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(body))
-	done := false
-	if len(path) > len("/result") && path[len(path)-len("/result"):] == "/result" {
-		done = true // a 200 result body is the report itself
-	} else {
-		var sr server.StatusResponse
-		if json.Unmarshal(body, &sr) == nil {
-			done = sr.Status == "done" || sr.Status == "error"
-		}
-	}
-	if done {
-		c.mu.Lock()
-		already := tj.done
-		tj.done = true
-		c.mu.Unlock()
-		if !already {
-			c.journalDone(tj.id)
-		}
-	}
 	return true
 }
 
@@ -270,12 +240,11 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
 
 // ClusterStats is the coordinator's GET /v1/stats body: the summed farm
 // counters in the worker schema (so clients written against one worker read
-// it unchanged) plus per-node breakdowns and routing state.
+// it unchanged) plus per-node breakdowns and the healthy-worker count.
 type ClusterStats struct {
 	server.StatsResponse
 	Nodes   map[string]*server.StatsResponse `json:"nodes"`
 	Healthy int                              `json:"healthy_workers"`
-	Tracked int                              `json:"jobs_tracked"`
 }
 
 // handleStats aggregates every healthy worker's /v1/stats. Unreachable
@@ -291,16 +260,14 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			healthy++
 		}
 	}
-	tracked := len(c.jobs)
 	c.mu.Unlock()
 
 	out := ClusterStats{
 		Nodes:   make(map[string]*server.StatsResponse, len(targets)),
 		Healthy: healthy,
-		Tracked: tracked,
 	}
 	for name, url := range targets {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url+"/v1/stats", nil)
+		req, err := newProxyRequest(r.Context(), http.MethodGet, url+"/v1/stats", nil)
 		if err != nil {
 			continue
 		}

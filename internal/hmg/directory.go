@@ -33,22 +33,40 @@ type directory struct {
 	sets       []dirEntry
 }
 
-// newDirectory builds a directory of `entries` total entries with the given
-// associativity, covering groups of linesPerEntry lines of lineSize bytes.
-// A group span that is not a power of two <= 16 MiB returns an error
-// wrapping ErrConfig.
-func newDirectory(entries, assoc, linesPerEntry, lineSize int) (*directory, error) {
-	if entries%assoc != 0 {
-		entries -= entries % assoc
+// MaxDirEntries bounds the per-chiplet directory capacity: 1M entries, 85x
+// the 12K default, is 16 MiB of entries per chiplet. Larger requests are
+// refused up front, because the allocation itself can exhaust the host.
+const MaxDirEntries = 1 << 20
+
+// checkGeometry reports whether a directory of entries entries and the
+// given associativity, covering groups of linesPerEntry lines of lineSize
+// bytes, can be built: entries in [assoc, MaxDirEntries] and a group span
+// that is a power of two <= 16 MiB. It returns the span's log2; the error
+// wraps ErrConfig.
+func checkGeometry(entries, assoc, linesPerEntry, lineSize int) (uint, error) {
+	if entries < assoc || entries > MaxDirEntries {
+		return 0, fmt.Errorf("%w: %d directory entries, want %d to %d", ErrConfig, entries, assoc, MaxDirEntries)
 	}
 	span := lineSize * linesPerEntry
 	shift := uint(0)
 	for 1<<shift != span {
 		shift++
 		if shift > 24 {
-			return nil, fmt.Errorf("%w: linesPerEntry*lineSize = %d is not a power of two <= 16 MiB", ErrConfig, span)
+			return 0, fmt.Errorf("%w: linesPerEntry*lineSize = %d is not a power of two <= 16 MiB", ErrConfig, span)
 		}
 	}
+	return shift, nil
+}
+
+// newDirectory builds a directory of `entries` total entries with the given
+// associativity, covering groups of linesPerEntry lines of lineSize bytes.
+// A geometry checkGeometry refuses returns its error.
+func newDirectory(entries, assoc, linesPerEntry, lineSize int) (*directory, error) {
+	shift, err := checkGeometry(entries, assoc, linesPerEntry, lineSize)
+	if err != nil {
+		return nil, err
+	}
+	entries -= entries % assoc
 	return &directory{
 		groupShift: shift,
 		numSets:    uint64(entries / assoc),

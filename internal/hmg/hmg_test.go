@@ -1,6 +1,7 @@
 package hmg
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/coherence"
@@ -230,6 +231,29 @@ func TestHMGDefaultSizing(t *testing.T) {
 	}
 	if p.Name() != "HMG" {
 		t.Errorf("name = %s", p.Name())
+	}
+}
+
+// TestHMGRejectsBadGeometry: a directory too large to allocate, one smaller
+// than a set, or a group span that is not a power of two is an ErrConfig
+// from New and from Validate, before any directory is allocated.
+func TestHMGRejectsBadGeometry(t *testing.T) {
+	m := must(machine.New(smallCfg(), mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 16<<20}, stats.New()))
+	for _, opts := range []Options{
+		{DirEntries: 2_000_000_000},
+		{DirEntries: MaxDirEntries + 1},
+		{DirEntries: 3},
+		{LinesPerEntry: 3},
+	} {
+		if err := opts.Validate(m.Cfg.LineSize); !errors.Is(err, ErrConfig) {
+			t.Errorf("Validate(%+v) = %v, want ErrConfig", opts, err)
+		}
+		if _, err := New(m, opts); !errors.Is(err, ErrConfig) {
+			t.Errorf("New(%+v) = %v, want ErrConfig", opts, err)
+		}
+	}
+	if err := (Options{DirEntries: MaxDirEntries}).Validate(m.Cfg.LineSize); err != nil {
+		t.Errorf("Validate at MaxDirEntries: %v", err)
 	}
 }
 

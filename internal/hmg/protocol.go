@@ -38,6 +38,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate reports whether New can build HMG with these options on a
+// machine with lineSize-byte lines, without allocating the directories.
+// The error wraps ErrConfig.
+func (o Options) Validate(lineSize int) error {
+	o = o.withDefaults()
+	_, err := checkGeometry(o.DirEntries, o.DirAssoc, o.LinesPerEntry, lineSize)
+	return err
+}
+
 // Protocol is HMG over the simulated machine. Unlike the baseline it never
 // flushes or invalidates L2s at kernel boundaries: hierarchical sharer
 // tracking keeps the L2s coherent. The costs are per-store write-through

@@ -35,6 +35,7 @@ import (
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/farm"
+	"repro/internal/hmg"
 	"repro/internal/metrics"
 	"repro/internal/workloads"
 )
@@ -114,6 +115,13 @@ func (r JobRequest) Job() (farm.Job, error) {
 	if err := j.Config.Validate(); err != nil {
 		return farm.Job{}, err
 	}
+	// The directory geometry is checked here rather than at run time: a
+	// directory too large to allocate kills the whole process, which the
+	// farm's panic isolation cannot catch.
+	dir := hmg.Options{DirEntries: r.DirEntries, LinesPerEntry: r.DirLinesPerEntry}
+	if err := dir.Validate(j.Config.LineSize); err != nil {
+		return farm.Job{}, err
+	}
 	j.Params.Scale = r.Scale
 	j.Params.Iters = r.Iters
 	j.Options = cpelide.Options{
@@ -146,7 +154,7 @@ const resultHold = time.Second
 
 // PendingRetryAfter is the Retry-After value on a 202 for a pending job.
 // The result endpoint has already held the request, so a client may come
-// straight back; the coordinator sends the same hint for a replayed job.
+// straight back.
 const PendingRetryAfter = "0"
 
 // Server is the HTTP front of one farm. It keeps no per-job state, only a

@@ -2,18 +2,20 @@
 # Chaos smoke: proves the cluster's failure story with real processes and
 # real signals. Two phases, each with a hard gate:
 #
-#   1. Crash recovery: a journaled coordinator fronting three workers runs a
-#      200-job campaign and is SIGKILLed mid-run, then restarted over the
-#      same journal at the same address. Gates: the campaign completes with
-#      zero lost/failed jobs (loadgen exits nonzero otherwise) and the
-#      restarted coordinator reports recovered journal state.
+#   1. Crash recovery: a coordinator fronting three workers runs a 200-job
+#      campaign and is SIGKILLed mid-run, then restarted with no state at
+#      the same address. Gates: cluster_workers_healthy is back at 3 within
+#      5 s of the restart (the workers' heartbeats re-register them), and
+#      the campaign completes with zero lost/failed jobs (loadgen exits
+#      nonzero otherwise).
 #   2. Store integrity: one stored result file is overwritten with garbage,
 #      and a fresh worker replays the campaign over the damaged store.
 #      Gates: store_corrupt_total == quarantined file count, exactly the
 #      corrupted job re-simulates, and the campaign still completes clean.
 #
-# Writes BENCH_chaos.json (schema chaos/v1): coordinator recovery time, the
-# hedge counters, and both campaign results.
+# Writes BENCH_chaos.json (schema chaos/v1): coordinator restart time, the
+# time until all workers rejoined, the hedge counters, and both campaign
+# results.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -21,7 +23,6 @@ OUT=${OUT:-BENCH_chaos.json}
 BIN=$(mktemp -d)
 STORE=$(mktemp -d)
 SCRATCH=$(mktemp -d)
-JOURNAL="$SCRATCH/coordinator.journal"
 PIDS=()
 cleanup() { for p in "${PIDS[@]:-}"; do kill -9 "$p" 2>/dev/null || true; done; }
 trap cleanup EXIT
@@ -37,12 +38,12 @@ wait_up() { # base-url
   exit 1
 }
 
-# --- phase 1: SIGKILL the coordinator mid-campaign, restart over journal ----
+# --- phase 1: SIGKILL the coordinator mid-campaign, restart with no state ----
 COORD=http://127.0.0.1:8470
 start_coordinator() { # retries the bind: right after SIGKILL the port can lag
   for _ in 1 2 3 4 5; do
     "$BIN/cpelide-coordinator" -addr 127.0.0.1:8470 -health-interval 100ms \
-      -fail-threshold 2 -journal "$JOURNAL" -hedge-after 250ms &
+      -fail-threshold 2 -hedge-after 250ms &
     CPID=$!
     PIDS+=($CPID)
     for _ in $(seq 1 50); do
@@ -85,18 +86,27 @@ T0=$(date +%s%N)
 start_coordinator
 T1=$(date +%s%N)
 RECOVERY_MS=$(( (T1 - T0) / 1000000 ))
-echo "coordinator restarted over journal in ${RECOVERY_MS}ms"
+echo "coordinator restarted in ${RECOVERY_MS}ms"
+
+# Gate: the workers' heartbeats bring all three back within 5 s.
+HEALTHY=0
+while :; do
+  HEALTHY=$(curl -fsS "$COORD/metrics" | awk '$1 == "cluster_workers_healthy" { print $2 }')
+  T2=$(date +%s%N)
+  REJOIN_MS=$(( (T2 - T1) / 1000000 ))
+  [ "${HEALTHY:-0}" = 3 ] && break
+  [ "$REJOIN_MS" -lt 5000 ] || {
+    echo "cluster_workers_healthy = $HEALTHY ${REJOIN_MS}ms after the restart, want 3 within 5s" >&2; exit 1; }
+  sleep 0.05
+done
+echo "3 workers rejoined ${REJOIN_MS}ms after the restart"
 
 wait "$LG" # gate: loadgen exits nonzero on any lost or failed job
 
 METRICS=$(curl -fsS "$COORD/metrics")
-RECOVERED=$(awk '$1 == "cluster_journal_recovered_jobs" { print $2 }' <<<"$METRICS")
-JERRS=$(awk '$1 == "cluster_journal_errors_total" { print $2 }' <<<"$METRICS")
 HEDGES=$(awk '$1 == "cluster_hedges_total" { print $2 }' <<<"$METRICS")
 HEDGE_WINS=$(awk '$1 == "cluster_hedge_wins_total" { print $2 }' <<<"$METRICS")
-[ "${RECOVERED:-0}" -gt 0 ] || { echo "restarted coordinator recovered 0 jobs from the journal" >&2; exit 1; }
-[ "${JERRS:-0}" = 0 ] || { echo "cluster_journal_errors_total = $JERRS, want 0" >&2; exit 1; }
-grep '^cluster_journal' <<<"$METRICS"
+grep -E '^cluster_(workers|hedge|proxy|jobs_routed)' <<<"$METRICS"
 
 cleanup
 PIDS=()
@@ -127,11 +137,13 @@ echo "corruption quarantined and recomputed: corrupt=$CORRUPT quarantined=$QUARA
 jq -n --slurpfile crash "$SCRATCH/crash.json" \
       --slurpfile corrupt "$SCRATCH/corrupt.json" \
       --argjson recovery_ms "$RECOVERY_MS" \
+      --argjson rejoin_ms "$REJOIN_MS" \
       --argjson kill_at_jobs "$JOBS" \
       --argjson hedges "${HEDGES:-0}" \
       --argjson hedge_wins "${HEDGE_WINS:-0}" \
       '{schema: "chaos/v1",
         recovery_ms: $recovery_ms,
+        rejoin_ms: $rejoin_ms,
         kill_at_jobs: $kill_at_jobs,
         hedges: $hedges,
         hedge_wins: $hedge_wins,
@@ -139,7 +151,7 @@ jq -n --slurpfile crash "$SCRATCH/crash.json" \
         crash_campaign: $crash[0],
         corruption_campaign: $corrupt[0]}' > "$OUT"
 echo "wrote $OUT"
-jq '{recovery_ms, kill_at_jobs, hedge_win_rate,
+jq '{recovery_ms, rejoin_ms, kill_at_jobs, hedge_win_rate,
      crash_lost: .crash_campaign.lost,
      crash_retries: .crash_campaign.transient_retries,
      corruption_runs: .corruption_campaign.runs}' "$OUT"
