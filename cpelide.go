@@ -29,6 +29,7 @@ package cpelide
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -179,6 +180,37 @@ func NewAllocator(pageSize int) *Allocator {
 
 // HeapBase is where workload allocations start.
 const HeapBase mem.Addr = 0x1000_0000
+
+// MaxFootprintBytes bounds the simulated address span of one run, from
+// HeapBase to the end of its highest data structure: 4 GiB, about 48 times
+// the largest scale-1 input (pathfinder, 85.5 MB). A run's memory image
+// costs 8 host bytes per 64 B line, and a Go out-of-memory error kills the
+// whole process, so an unbounded footprint scale could take down a server.
+const MaxFootprintBytes = 4 << 30
+
+// ErrFootprint reports a run whose footprint exceeds MaxFootprintBytes.
+var ErrFootprint = errors.New("cpelide: footprint too large")
+
+// CheckFootprint returns an error wrapping ErrFootprint when a run of specs
+// would span more than MaxFootprintBytes. It reads only the workload
+// descriptors, so it allocates no memory image; RunStreamsContext makes the
+// same check before it acquires a machine.
+func CheckFootprint(specs []StreamSpec) error {
+	bounds := mem.Range{Lo: HeapBase, Hi: HeapBase}
+	for _, s := range specs {
+		if s.Workload != nil {
+			bounds = bounds.Union(s.Workload.Bounds())
+		}
+	}
+	return checkFootprint(bounds)
+}
+
+func checkFootprint(bounds mem.Range) error {
+	if n := bounds.Size(); n > MaxFootprintBytes {
+		return fmt.Errorf("%w: %d bytes, limit %d", ErrFootprint, n, uint64(MaxFootprintBytes))
+	}
+	return nil
+}
 
 // Protocol selects the coherence configuration of a run.
 type Protocol int
@@ -504,6 +536,9 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 		}
 		names += s.Workload.Name
 		seed ^= s.Workload.Seed
+	}
+	if err := checkFootprint(bounds); err != nil {
+		return nil, err
 	}
 
 	sheet := stats.New()

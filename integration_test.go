@@ -1,10 +1,13 @@
 package cpelide
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/kernels"
+	"repro/internal/machine"
 )
 
 // smallSquare builds a Square-like iterative workload small enough for unit
@@ -115,6 +118,39 @@ func TestChipletBound(t *testing.T) {
 	}
 	if rep, err := Run(DefaultConfig(config.MaxChiplets+1), w, Options{Protocol: ProtocolHMG}); err == nil {
 		t.Fatalf("%d chiplets ran (%d stale reads), want a config error", config.MaxChiplets+1, rep.StaleReads)
+	}
+}
+
+// TestFootprintBound checks a run spanning more than MaxFootprintBytes
+// fails with ErrFootprint before it leases a machine or allocates its
+// memory image: square at scale 1e6 lays out about 4.2 TB, whose version
+// arrays alone would need over 500 GB of host memory.
+func TestFootprintBound(t *testing.T) {
+	w := buildBench(t, "square", 1e6)
+	for _, scale := range []float64{1e6, 1e15, 1e300} {
+		specs := []StreamSpec{{Workload: buildBench(t, "square", scale)}}
+		if err := CheckFootprint(specs); !errors.Is(err, ErrFootprint) {
+			t.Fatalf("scale %g: CheckFootprint = %v, want ErrFootprint", scale, err)
+		}
+	}
+	if err := CheckFootprint([]StreamSpec{{Workload: buildBench(t, "pathfinder", 1)}}); err != nil {
+		t.Fatalf("largest scale-1 input refused: %v", err)
+	}
+	leases := 0
+	machine.SetLeaseHook(func(*machine.Machine, bool) { leases++ })
+	t.Cleanup(func() { machine.SetLeaseHook(nil) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Run(DefaultConfig(4), w, Options{Protocol: ProtocolCPElide})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrFootprint) || rep != nil {
+		t.Fatalf("Run = %v, %v; want a nil report and ErrFootprint", rep, err)
+	}
+	if leases != 0 {
+		t.Errorf("oversized run leased a machine (%d hook calls)", leases)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("oversized run allocated %d bytes before failing", grew)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package ctxflow implements the cpelint pass that enforces context hygiene
-// in the distributed layers (packages farm, cluster, and server). ROADMAP
-// item 5 (componentized parallel engine) will multiply goroutines; the two
-// failure modes this pass exists to stop both manifest as goroutine leaks
-// that no unit test catches:
+// in the distributed layers (packages farm, cluster, and server), which
+// run the farm's workers, held result fetches, health probes, heartbeats
+// and hedged submits as goroutines. The two failure modes this pass exists
+// to stop both manifest as goroutine leaks that no unit test catches:
 //
 //   - context laundering: a function that already receives a ctx calls
 //     context.Background() or context.TODO(), minting a fresh root that

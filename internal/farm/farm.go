@@ -473,12 +473,21 @@ func (f *Farm) execute(ctx context.Context, j Job) (rep *cpelide.Report, err err
 	if execHook != nil {
 		return execHook(ctx, j)
 	}
-	ss, err := j.streams()
+	specs, err := j.build()
 	if err != nil {
 		return nil, err
 	}
 	opt := j.Options
 	opt.Trace = nil // see Job.Options: per-run tracing cannot cross the cache
+	return cpelide.RunStreamsContext(ctx, j.Config, specs, opt)
+}
+
+// build constructs the job's workload descriptors, one stream spec each.
+func (j Job) build() ([]cpelide.StreamSpec, error) {
+	ss, err := j.streams()
+	if err != nil {
+		return nil, err
+	}
 	alloc := cpelide.NewAllocator(j.Config.PageSize)
 	specs := make([]cpelide.StreamSpec, 0, len(ss))
 	for _, s := range ss {
@@ -497,7 +506,20 @@ func (f *Farm) execute(ctx context.Context, j Job) (rep *cpelide.Report, err err
 		}
 		specs = append(specs, cpelide.StreamSpec{Workload: w, Chiplets: s.Chiplets})
 	}
-	return cpelide.RunStreamsContext(ctx, j.Config, specs, opt)
+	return specs, nil
+}
+
+// CheckFootprint builds the job's workload descriptors, which is cheap and
+// allocates no memory image, and returns an error wrapping
+// cpelide.ErrFootprint when the run would span more than
+// cpelide.MaxFootprintBytes. A job whose workloads cannot be built passes:
+// its run reports that error.
+func (j Job) CheckFootprint() error {
+	specs, err := j.build()
+	if err != nil {
+		return nil
+	}
+	return cpelide.CheckFootprint(specs)
 }
 
 // resolveSrc says how a flight got its result, which decides the counter

@@ -17,10 +17,13 @@ import (
 // instead of panicking so embedding simulations surface it as a run error.
 var ErrConfig = errors.New("hmg: invalid config")
 
-// dirEntry tracks which chiplets may cache lines of one aligned line group.
+// dirEntry tracks which chiplets may cache lines of one aligned line group,
+// in 8 bytes. group is the group's index (base address >> groupShift); it
+// fits 32 bits because a group spans at least one line and mem.NewMemory
+// bounds every simulated line index below mem.MaxLines.
 type dirEntry struct {
-	tag     mem.Addr // group base address
-	sharers uint16   // bit per chiplet
+	group   uint32
+	sharers uint16 // bit per chiplet
 	valid   bool
 }
 
@@ -80,21 +83,28 @@ func (d *directory) group(line mem.Addr) mem.Addr {
 	return line &^ (1<<d.groupShift - 1)
 }
 
+// base returns the group base address entry e tracks.
+func (d *directory) base(e dirEntry) mem.Addr {
+	return mem.Addr(e.group) << d.groupShift
+}
+
 // groupRange returns the address range covered by group g.
 func (d *directory) groupRange(g mem.Addr) mem.Range {
 	return mem.Range{Lo: g, Hi: g + 1<<d.groupShift}
 }
 
-func (d *directory) set(g mem.Addr) []dirEntry {
-	s := (uint64(g) >> d.groupShift) % d.numSets * uint64(d.assoc)
-	return d.sets[s : s+uint64(d.assoc)]
+// set returns the entries of g's set and g's group index.
+func (d *directory) set(g mem.Addr) ([]dirEntry, uint32) {
+	idx := uint64(g) >> d.groupShift
+	s := idx % d.numSets * uint64(d.assoc)
+	return d.sets[s : s+uint64(d.assoc)], uint32(idx)
 }
 
 // lookup finds the entry for group g without allocating.
 func (d *directory) lookup(g mem.Addr) *dirEntry {
-	set := d.set(g)
+	set, idx := d.set(g)
 	for i := range set {
-		if set[i].valid && set[i].tag == g {
+		if set[i].valid && set[i].group == idx {
 			return &set[i]
 		}
 	}
@@ -107,9 +117,9 @@ func (d *directory) lookup(g mem.Addr) *dirEntry {
 // inclusion), which is the eviction churn the paper blames for HMG's losses
 // on low-reuse workloads.
 func (d *directory) addSharer(g mem.Addr, chiplet int) (evicted dirEntry, wasEvicted bool) {
-	set := d.set(g)
+	set, idx := d.set(g)
 	for i := range set {
-		if set[i].valid && set[i].tag == g {
+		if set[i].valid && set[i].group == idx {
 			set[i].sharers |= 1 << chiplet
 			promote(set, i)
 			return dirEntry{}, false
@@ -127,7 +137,7 @@ func (d *directory) addSharer(g mem.Addr, chiplet int) (evicted dirEntry, wasEvi
 		evicted = set[victim]
 		wasEvicted = true
 	}
-	set[victim] = dirEntry{tag: g, sharers: 1 << chiplet, valid: true}
+	set[victim] = dirEntry{group: idx, sharers: 1 << chiplet, valid: true}
 	promote(set, victim)
 	return evicted, wasEvicted
 }

@@ -3,6 +3,7 @@ package hmg
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"repro/internal/coherence"
 	"repro/internal/config"
@@ -36,6 +37,13 @@ func place(m *machine.Machine) (local, remote mem.Addr) {
 
 // --- directory unit tests -------------------------------------------------
 
+// TestDirEntryLayout pins a directory entry to 8 host bytes.
+func TestDirEntryLayout(t *testing.T) {
+	if n := unsafe.Sizeof(dirEntry{}); n != 8 {
+		t.Fatalf("dirEntry is %d bytes, want 8", n)
+	}
+}
+
 func TestDirectoryAddAndEvict(t *testing.T) {
 	d := must(newDirectory(8, 2, 4, 64)) // 4 sets x 2 ways, 256 B groups
 	g := d.group(0x1000_0040)
@@ -54,7 +62,7 @@ func TestDirectoryAddAndEvict(t *testing.T) {
 	g3 := g + 8*256
 	d.addSharer(g2, 0)
 	evicted, was := d.addSharer(g3, 2)
-	if !was || evicted.tag != g {
+	if !was || d.base(evicted) != g {
 		t.Errorf("eviction = %+v (was %v), want LRU group %#x", evicted, was, g)
 	}
 }

@@ -275,7 +275,7 @@ func (p *Protocol) registerSharer(home int, line mem.Addr, chiplet int) int {
 		return 0
 	}
 	p.m.Sheet.Inc(stats.DirEvictions)
-	n := p.invalidateMask(home, evicted.tag, evicted.sharers)
+	n := p.invalidateMask(home, d.base(evicted), evicted.sharers)
 	return p.m.Cfg.CPUnicastLatency * (1 + n)
 }
 

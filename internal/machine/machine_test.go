@@ -36,6 +36,23 @@ func TestMachineShape(t *testing.T) {
 	}
 }
 
+// TestDefaultWayBytes pins the host footprint of a default 4-chiplet
+// machine's cache way arrays: 240 16 KiB L1s, four 8 MiB L2s and four 4 MiB
+// L3 banks hold 847,872 lines at 8 bytes each, about 6.8 MB.
+func TestDefaultWayBytes(t *testing.T) {
+	m := must(New(config.Default(4), mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 1<<20}, stats.New()))
+	total := 0
+	for c := range m.L2 {
+		for _, l1 := range m.L1[c] {
+			total += l1.WayBytes()
+		}
+		total += m.L2[c].WayBytes() + m.L3[c].WayBytes()
+	}
+	if want := 847872 * 8; total != want {
+		t.Errorf("way arrays total %d bytes, want %d (6.8 MB)", total, want)
+	}
+}
+
 func TestHomeFirstTouch(t *testing.T) {
 	m := newM(t)
 	a := mem.Addr(0x1000_0000)

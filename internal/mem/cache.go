@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Cache is a set-associative, LRU-replaced cache model holding line
 // addresses and the data versions they carry. It is policy-free: the
@@ -12,6 +15,14 @@ import "fmt"
 // eviction victim. Probes compare only those n tags, a miss fills slot n
 // without searching for a free way, and invalidating a line shifts the later
 // ways down one slot, so the order of the survivors never changes.
+//
+// A way is 8 bytes: the line's index (line >> log2(lineSize)) shifted left by
+// one with the dirty flag in bit 0, next to the data version. Line addresses
+// are rebuilt from the index only where a caller needs one (evictions, range
+// tests, flush commits). The precondition is that every line passed to a
+// Cache has an index below MaxLines (2^31, 128 GiB at 64 B lines); NewMemory
+// refuses any bound past it, and every line a machine caches indexes its
+// Memory, so no simulated line can alias another.
 //
 // Two representation choices make the whole-cache maintenance operations the
 // protocols issue at every kernel boundary cheap:
@@ -49,11 +60,21 @@ type Cache struct {
 	dirtyLines int
 }
 
+// way is one cached line. key is the line index shifted left by one, with
+// the dirty flag in bit 0; probes compare key&^dirtyBit.
 type way struct {
-	tag   Addr   // line address (low bits zero)
-	ver   uint32 // data version carried by the line
-	dirty bool
+	key uint32
+	ver uint32 // data version carried by the line
 }
+
+const dirtyBit = 1
+
+// MaxLines bounds the line indices a Cache can hold: a way keeps 31 bits of
+// index. At 64 B lines that is 128 GiB of simulated address space.
+const MaxLines = 1 << 31
+
+//cpelide:noalloc
+func (w way) dirty() bool { return w.key&dirtyBit != 0 }
 
 // setRec records a set's valid ways: ways[0:n) when epoch equals the
 // cache's epoch, none otherwise (0 is never current).
@@ -154,19 +175,20 @@ func (c *Cache) Assoc() int { return c.assoc }
 // Lines returns the total line capacity.
 func (c *Cache) Lines() int { return int(c.numSets) * c.assoc }
 
+// WayBytes returns the host bytes the cache's way array occupies.
+func (c *Cache) WayBytes() int { return len(c.ways) * int(unsafe.Sizeof(way{})) }
+
 // ValidLines returns the number of valid lines currently cached.
 func (c *Cache) ValidLines() int { return c.validLines }
 
 // DirtyLines returns the number of dirty lines currently cached.
 func (c *Cache) DirtyLines() int { return c.dirtyLines }
 
+// lineOf rebuilds the line address a way holds.
+//
 //cpelide:noalloc
-func (c *Cache) setIndex(line Addr) uint64 {
-	idx := uint64(line) >> c.lineShift
-	if c.setsPow2 {
-		return idx & (c.numSets - 1)
-	}
-	return idx % c.numSets
+func (c *Cache) lineOf(w way) Addr {
+	return Addr(w.key>>1) << c.lineShift
 }
 
 // valid returns the valid ways of set si, in LRU order.
@@ -180,13 +202,19 @@ func (c *Cache) valid(si uint64) []way {
 	return c.ways[base:base]
 }
 
-// lookup returns the valid ways of the set holding line, plus the set index
-// for callers that also maintain the dirty bitmap.
+// lookup returns the valid ways of the set holding line, the set index for
+// callers that also maintain the dirty bitmap, and line's clean key.
 //
 //cpelide:noalloc
-func (c *Cache) lookup(line Addr) ([]way, uint64) {
-	si := c.setIndex(line)
-	return c.valid(si), si
+func (c *Cache) lookup(line Addr) ([]way, uint64, uint32) {
+	idx := uint64(line) >> c.lineShift
+	var si uint64
+	if c.setsPow2 {
+		si = idx & (c.numSets - 1)
+	} else {
+		si = idx % c.numSets
+	}
+	return c.valid(si), si, uint32(idx) << 1
 }
 
 //cpelide:noalloc
@@ -211,8 +239,7 @@ func moveToFront(ways []way, i int) {
 //
 //cpelide:noalloc
 func (c *Cache) drop(si uint64, ways []way, i int) {
-	w := ways[i]
-	if w.dirty {
+	if ways[i].dirty() {
 		c.dirtyLines--
 	}
 	c.validLines--
@@ -225,9 +252,9 @@ func (c *Cache) drop(si uint64, ways []way, i int) {
 //
 //cpelide:noalloc
 func (c *Cache) Read(line Addr) (ver uint32, hit bool) {
-	ways, _ := c.lookup(line)
+	ways, _, key := c.lookup(line)
 	for i := range ways {
-		if ways[i].tag == line {
+		if ways[i].key&^dirtyBit == key {
 			moveToFront(ways, i)
 			return ways[0].ver, true
 		}
@@ -239,10 +266,10 @@ func (c *Cache) Read(line Addr) (ver uint32, hit bool) {
 //
 //cpelide:noalloc
 func (c *Cache) Peek(line Addr) (ver uint32, dirty, hit bool) {
-	ways, _ := c.lookup(line)
+	ways, _, key := c.lookup(line)
 	for i := range ways {
-		if ways[i].tag == line {
-			return ways[i].ver, ways[i].dirty, true
+		if ways[i].key&^dirtyBit == key {
+			return ways[i].ver, ways[i].dirty(), true
 		}
 	}
 	return 0, false, false
@@ -255,16 +282,15 @@ func (c *Cache) Peek(line Addr) (ver uint32, dirty, hit bool) {
 //
 //cpelide:noalloc
 func (c *Cache) Write(line Addr, ver uint32) bool {
-	ways, si := c.lookup(line)
+	ways, si, key := c.lookup(line)
 	for i := range ways {
-		if ways[i].tag == line {
-			if !ways[i].dirty {
+		if ways[i].key&^dirtyBit == key {
+			if !ways[i].dirty() {
 				c.dirtyLines++
 				c.markDirtySet(si)
 			}
 			moveToFront(ways, i)
-			ways[0].ver = ver
-			ways[0].dirty = true
+			ways[0] = way{key: key | dirtyBit, ver: ver}
 			return true
 		}
 	}
@@ -277,15 +303,14 @@ func (c *Cache) Write(line Addr, ver uint32) bool {
 //
 //cpelide:noalloc
 func (c *Cache) UpdateClean(line Addr, ver uint32) bool {
-	ways, _ := c.lookup(line)
+	ways, _, key := c.lookup(line)
 	for i := range ways {
-		if ways[i].tag == line {
+		if ways[i].key&^dirtyBit == key {
 			moveToFront(ways, i)
-			if ways[0].dirty {
-				ways[0].dirty = false
+			if ways[0].dirty() {
 				c.dirtyLines--
 			}
-			ways[0].ver = ver
+			ways[0] = way{key: key, ver: ver}
 			return true
 		}
 	}
@@ -298,20 +323,23 @@ func (c *Cache) UpdateClean(line Addr, ver uint32) bool {
 //
 //cpelide:noalloc
 func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
-	ways, si := c.lookup(line)
+	ways, si, key := c.lookup(line)
+	w := way{key: key, ver: ver}
+	if dirty {
+		w.key |= dirtyBit
+	}
 	// Already present: update in place.
 	for i := range ways {
-		if ways[i].tag == line {
+		if ways[i].key&^dirtyBit == key {
 			moveToFront(ways, i)
-			if dirty && !ways[0].dirty {
+			if dirty && !ways[0].dirty() {
 				c.dirtyLines++
 				c.markDirtySet(si)
 			}
-			if !dirty && ways[0].dirty {
+			if !dirty && ways[0].dirty() {
 				c.dirtyLines--
 			}
-			ways[0].ver = ver
-			ways[0].dirty = dirty
+			ways[0] = w
 			return EvictInfo{}
 		}
 	}
@@ -322,14 +350,14 @@ func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
 		ways = ways[:n+1]
 		c.validLines++
 	} else {
-		w := ways[n-1]
-		ev = EvictInfo{Evicted: true, Line: w.tag, Ver: w.ver, Dirty: w.dirty}
-		if w.dirty {
+		old := ways[n-1]
+		ev = EvictInfo{Evicted: true, Line: c.lineOf(old), Ver: old.ver, Dirty: old.dirty()}
+		if old.dirty() {
 			c.dirtyLines--
 		}
 	}
 	copy(ways[1:], ways[:len(ways)-1])
-	ways[0] = way{tag: line, ver: ver, dirty: dirty}
+	ways[0] = w
 	if dirty {
 		c.dirtyLines++
 		c.markDirtySet(si)
@@ -342,10 +370,10 @@ func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
 //
 //cpelide:noalloc
 func (c *Cache) Invalidate(line Addr) (wasDirty, wasPresent bool) {
-	ways, si := c.lookup(line)
+	ways, si, key := c.lookup(line)
 	for i := range ways {
-		if ways[i].tag == line {
-			wasDirty = ways[i].dirty
+		if ways[i].key&^dirtyBit == key {
+			wasDirty = ways[i].dirty()
 			c.drop(si, ways, i)
 			return wasDirty, true
 		}
@@ -391,7 +419,7 @@ func (c *Cache) InvalidateRanges(rs RangeSet) int {
 	for si := range c.sets {
 		ways := c.valid(uint64(si))
 		for i := len(ways) - 1; i >= 0; i-- {
-			if rs.Contains(ways[i].tag) {
+			if rs.Contains(c.lineOf(ways[i])) {
 				c.drop(uint64(si), ways, i)
 				ways = ways[:len(ways)-1]
 				n++
@@ -426,9 +454,9 @@ func (c *Cache) flushSet(si uint64, commit func(line Addr, ver uint32)) int {
 	ways := c.valid(si)
 	for i := range ways {
 		w := &ways[i]
-		if w.dirty {
-			commit(w.tag, w.ver)
-			w.dirty = false
+		if w.dirty() {
+			commit(c.lineOf(*w), w.ver)
+			w.key &^= dirtyBit
 			c.dirtyLines--
 			n++
 		}
@@ -471,11 +499,11 @@ func (c *Cache) FlushRanges(rs RangeSet, commit func(line Addr, ver uint32)) int
 	if c.rangeSmall(rs) {
 		n := 0
 		c.eachLine(rs, func(line Addr) {
-			ways, _ := c.lookup(line)
+			ways, _, key := c.lookup(line)
 			for i := range ways {
-				if ways[i].tag == line && ways[i].dirty {
+				if ways[i].key == key|dirtyBit {
 					commit(line, ways[i].ver)
-					ways[i].dirty = false
+					ways[i].key = key
 					c.dirtyLines--
 					n++
 				}
@@ -491,12 +519,12 @@ func (c *Cache) FlushRanges(rs RangeSet, commit func(line Addr, ver uint32)) int
 				remaining := false
 				for i := range ways {
 					w := &ways[i]
-					if !w.dirty {
+					if !w.dirty() {
 						continue
 					}
-					if rs.Contains(w.tag) {
-						commit(w.tag, w.ver)
-						w.dirty = false
+					if line := c.lineOf(*w); rs.Contains(line) {
+						commit(line, w.ver)
+						w.key &^= dirtyBit
 						c.dirtyLines--
 						n++
 					} else {
@@ -518,7 +546,7 @@ func (c *Cache) ValidInRanges(rs RangeSet) int {
 	n := 0
 	for si := range c.sets {
 		for _, w := range c.valid(uint64(si)) {
-			if rs.Contains(w.tag) {
+			if rs.Contains(c.lineOf(w)) {
 				n++
 			}
 		}

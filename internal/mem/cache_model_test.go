@@ -201,13 +201,30 @@ func (m *refCache) counts() (valid, dirty int) {
 	return
 }
 
+// lineView is a test-only view of one valid line: its address, version and
+// dirty flag, however the cache packs them.
+type lineView struct {
+	tag   Addr
+	ver   uint32
+	dirty bool
+}
+
 // order lists set si's valid lines in LRU order.
-func (m *refCache) order(si int) []way {
-	var out []way
+func (m *refCache) order(si int) []lineView {
+	var out []lineView
 	for _, w := range m.sets[si] {
 		if w.valid {
-			out = append(out, way{tag: w.tag, ver: w.ver, dirty: w.dirty})
+			out = append(out, lineView{tag: w.tag, ver: w.ver, dirty: w.dirty})
 		}
+	}
+	return out
+}
+
+// view lists Cache set si's valid lines in LRU order.
+func (c *Cache) view(si int) []lineView {
+	var out []lineView
+	for _, w := range c.valid(uint64(si)) {
+		out = append(out, lineView{tag: c.lineOf(w), ver: w.ver, dirty: w.dirty()})
 	}
 	return out
 }
@@ -217,13 +234,19 @@ func (m *refCache) order(si int) []way {
 // hits, versions, evictions and flush commit sequences, plus the same valid
 // lines in the same LRU order in every set after every operation. Each
 // sequence also spins the 16-bit epoch through a wrap while lines written
-// at epoch 1 are still in the way array.
+// at epoch 1 are still in the way array. The last geometries place their
+// lines at the top of the index range a way can hold, ending at line
+// MaxLines-1.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
-	geometries := []struct{ sets, assoc int }{{4, 4}, {3, 2}, {1, 8}}
+	top := func(sets, assoc int) Addr { return Addr(MaxLines-3*sets*assoc) * 64 }
+	geometries := []struct {
+		sets, assoc int
+		base        Addr
+	}{{4, 4, 0}, {3, 2, 0}, {1, 8, 0}, {4, 4, top(4, 4)}, {3, 2, top(3, 2)}}
 	rnd := rand.New(rand.NewSource(2024))
 	for _, g := range geometries {
 		for trial := 0; trial < 60; trial++ {
-			name := fmt.Sprintf("%dx%d/trial%d", g.sets, g.assoc, trial)
+			name := fmt.Sprintf("%dx%d@%#x/trial%d", g.sets, g.assoc, g.base, trial)
 			c := must(NewCache("ref", g.sets*g.assoc*64, g.assoc, 64))
 			m := newRefCache(g.sets, g.assoc)
 			universe := 3 * g.sets * g.assoc // lines; enough to force evictions
@@ -233,7 +256,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				return func(l Addr, v uint32) { *log = append(*log, fmt.Sprintf("%#x@%d", l, v)) }
 			}
 			for op := 0; op < 300; op++ {
-				line := Addr(rnd.Intn(universe)) * 64
+				line := g.base + Addr(rnd.Intn(universe))*64
 				ver := uint32(op + 1)
 				check := func(what string, have, ref any) {
 					t.Helper()
@@ -293,7 +316,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 				wv, wd := m.counts()
 				check("ValidLines/DirtyLines", []int{c.ValidLines(), c.DirtyLines()}, []int{wv, wd})
 				for si := 0; si < g.sets; si++ {
-					check(fmt.Sprintf("set %d", si), c.valid(uint64(si)), m.order(si))
+					check(fmt.Sprintf("set %d", si), c.view(si), m.order(si))
 				}
 			}
 		}

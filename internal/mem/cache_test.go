@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // tiny returns a 4-set, 2-way cache with 64 B lines (512 B total).
@@ -22,6 +23,18 @@ func TestCacheGeometry(t *testing.T) {
 	odd.Fill(0, 1, false)
 	if _, hit := odd.Read(0); !hit {
 		t.Error("fill+read miss on non-pow2 cache")
+	}
+}
+
+// TestWayLayout pins a way to 8 host bytes: a 31-bit line index with the
+// dirty flag, and the version.
+func TestWayLayout(t *testing.T) {
+	if n := unsafe.Sizeof(way{}); n != 8 {
+		t.Fatalf("way is %d bytes, want 8", n)
+	}
+	c := must(NewCache("l2", 8<<20, 32, 64))
+	if c.WayBytes() != 131072*8 {
+		t.Errorf("WayBytes = %d, want %d", c.WayBytes(), 131072*8)
 	}
 }
 
@@ -187,7 +200,7 @@ func TestCacheCountersInvariant(t *testing.T) {
 			}
 			for _, w := range c.ways[si*c.assoc : si*c.assoc+int(r.n)] {
 				valid++
-				if w.dirty {
+				if w.dirty() {
 					dirty++
 				}
 			}

@@ -26,12 +26,17 @@ type Memory struct {
 }
 
 // NewMemory covers [base, base+size) with lines of lineSize bytes. A line
-// size that is not a power of two <= 64 KiB returns an error wrapping
-// ErrGeometry.
+// size that is not a power of two <= 64 KiB, or a bound whose last line
+// index is MaxLines or more (the most a Cache way can hold), returns an
+// error wrapping ErrGeometry before anything is allocated.
 func NewMemory(base Addr, size uint64, lineSize int) (*Memory, error) {
 	shift, err := log2(lineSize, 16)
 	if err != nil {
 		return nil, fmt.Errorf("%w: memory line size %d is not a power of two <= 64 KiB", ErrGeometry, lineSize)
+	}
+	if limit := uint64(MaxLines) << shift; size > limit || uint64(base) > limit-size {
+		return nil, fmt.Errorf("%w: memory [%#x, +%d) reaches past line index %d (%d B lines)",
+			ErrGeometry, uint64(base), size, MaxLines-1, lineSize)
 	}
 	n := (size + uint64(lineSize) - 1) >> shift
 	return &Memory{

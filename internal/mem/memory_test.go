@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestPageTableFirstTouch(t *testing.T) {
 	p := must(NewPageTable(0x1000, 64<<10, 4096))
@@ -134,5 +137,32 @@ func TestMemoryLineOf(t *testing.T) {
 	}
 	if m.Lines() != 64 {
 		t.Errorf("Lines = %d", m.Lines())
+	}
+}
+
+// TestMemoryLineIndexBound checks NewMemory accepts a bound ending at line
+// index MaxLines-1, the highest a cache way can hold, and refuses one line
+// more, or a size that wraps the address space, before allocating.
+func TestMemoryLineIndexBound(t *testing.T) {
+	last := Addr(MaxLines-1) * 64
+	m, err := NewMemory(last, 64, 64)
+	if err != nil {
+		t.Fatalf("line index %d refused: %v", MaxLines-1, err)
+	}
+	if m.Lines() != 1 {
+		t.Errorf("Lines = %d, want 1", m.Lines())
+	}
+	for _, c := range []struct {
+		base Addr
+		size uint64
+	}{
+		{last + 64, 64}, // line index MaxLines
+		{last, 65},      // reaches into line index MaxLines
+		{0, uint64(MaxLines)*64 + 1},
+		{64, ^uint64(0) - 32}, // base+size wraps
+	} {
+		if _, err := NewMemory(c.base, c.size, 64); !errors.Is(err, ErrGeometry) {
+			t.Errorf("NewMemory(%#x, %d) = %v, want ErrGeometry", c.base, c.size, err)
+		}
 	}
 }

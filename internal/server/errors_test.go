@@ -66,6 +66,8 @@ func TestErrorSchema(t *testing.T) {
 		{"too many job chiplets", "POST", "/v1/jobs", `{"workload":"square","scale":0.05,"chiplets":17}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"too many figure chiplets", "GET", "/v1/figures/fig8?chiplets=17&scale=0.05&workloads=square", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{"directory too large to allocate", "POST", "/v1/jobs", `{"workload":"square","scale":0.05,"protocol":"hmg","dir_entries":2000000000}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"job footprint too large", "POST", "/v1/jobs", `{"workload":"square","scale":1e6}`, http.StatusBadRequest, ErrCodeBadRequest},
+		{"figure footprint too large", "GET", "/v1/figures/fig2?scale=1e6&workloads=square", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{"directory group span not a power of two", "POST", "/v1/jobs", `{"workload":"square","scale":0.05,"protocol":"hmg","dir_lines_per_entry":3}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"unrouted path", "GET", "/v2/nothing/here", "", http.StatusNotFound, ErrCodeNotFound},
 	}

@@ -92,6 +92,26 @@ func checkScale(f float64) error {
 	return nil
 }
 
+// checkFigureFootprint rejects a figure whose workloads, built at p's
+// scale, would exceed cpelide.MaxFootprintBytes in a single-stream run.
+func checkFigureFootprint(p experiments.Params) error {
+	names := p.Workloads
+	if len(names) == 0 {
+		names = workloads.Names()
+	}
+	for _, name := range names {
+		j := farm.Job{
+			Workload: name,
+			Params:   workloads.Params{Scale: p.Scale, Iters: p.Iters},
+			Config:   cpelide.DefaultConfig(4),
+		}
+		if err := j.CheckFootprint(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Job converts the request into a farm job, rejecting a machine config
 // that would not validate. The cluster coordinator uses it to compute a
 // submission's content hash for routing without running anything.
@@ -352,6 +372,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: st.State})
 		return
 	}
+	// Like an oversized directory, an oversized memory image would kill
+	// the process at run time. Building the descriptors that say how large
+	// it would be costs microseconds, so it happens here, once per admitted
+	// submission, and not in Job, which the coordinator calls to route.
+	if err := job.CheckFootprint(); err != nil {
+		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
+		return
+	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -455,6 +483,10 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
+	}
+	if err := checkFigureFootprint(p); err != nil {
+		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad scale %q: %v", q.Get("scale"), err)
+		return
 	}
 
 	if name == "fig8" {

@@ -31,11 +31,21 @@ type Params struct {
 	Iters int
 }
 
+// maxElems caps a scaled element count. A structure that large is far
+// past the simulator's footprint bound (cpelide.MaxFootprintBytes), so its
+// run is refused either way; the cap keeps the float-to-int conversion,
+// which wraps on overflow, and the byte sizes derived from it in range.
+const maxElems = 1 << 40
+
 func (p Params) scale(elems int) int {
 	if p.Scale <= 0 || p.Scale == 1 {
 		return elems
 	}
-	v := int(float64(elems) * p.Scale)
+	f := float64(elems) * p.Scale
+	if f >= maxElems {
+		return maxElems
+	}
+	v := int(f)
 	// Keep slicing and paging well-formed: at least one line per WG at
 	// reasonable grid sizes, rounded to 4 Ki elements.
 	const q = 4096

@@ -93,6 +93,21 @@ func TestScaleShrinksFootprint(t *testing.T) {
 	}
 }
 
+// TestHugeScaleSaturates checks a scale too large for an int element count
+// saturates instead of wrapping: at scale 1e15 the conversion used to wrap
+// to the 4 Ki-element minimum, laying out a 32 KiB square.
+func TestHugeScaleSaturates(t *testing.T) {
+	for _, scale := range []float64{1e15, 1e300} {
+		w, err := Build("square", kernels.NewAllocator(0x1000_0000, 4096), Params{Scale: scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := w.Structures[0].Elems(); n != maxElems {
+			t.Errorf("scale %g: %d elements, want %d", scale, n, maxElems)
+		}
+	}
+}
+
 func TestItersOverride(t *testing.T) {
 	a := kernels.NewAllocator(0x1000_0000, 4096)
 	w, err := Build("square", a, Params{Scale: 0.1, Iters: 3})
