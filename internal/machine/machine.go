@@ -163,20 +163,21 @@ func (m *Machine) RemoteLatency(from, to int) int {
 
 // L3Read serves a read at line's home L3 bank on behalf of chiplet from.
 // It returns the committed version and the latency past the L2 level,
-// accounting L3/DRAM stats and traffic. The L3 bank is filled on a miss.
+// accounting L3/DRAM stats and traffic. The L3 bank is filled on a miss, in
+// the same probe of its set.
 func (m *Machine) L3Read(line mem.Addr, from, home int) (ver uint32, cycles int) {
 	cfg := &m.Cfg
 	m.Sheet.Inc(stats.L3Accesses)
 	m.l3BankBytes[home] += uint64(cfg.LineSize)
 	ver = m.Mem.Committed(line)
-	if _, hit := m.L3[home].Read(line); hit {
+	if _, hit, ev := m.L3[home].ReadFill(line); hit {
 		m.Sheet.Inc(stats.L3Hits)
 		cycles = cfg.L3Latency
 	} else {
 		m.Sheet.Inc(stats.L3Misses)
 		m.Sheet.Inc(stats.DRAMReads)
 		m.Fabric.DRAM(home, cfg.LineSize)
-		m.l3Fill(line, home, false)
+		m.l3Spill(home, ev)
 		cycles = cfg.L3Latency + cfg.DRAMLatency
 	}
 	if from == home {
@@ -208,7 +209,13 @@ func (m *Machine) L3Write(line mem.Addr, ver uint32, from, home int) (cycles int
 // l3Fill installs line into its home bank, spilling an evicted dirty victim
 // to the bank's HBM partition.
 func (m *Machine) l3Fill(line mem.Addr, home int, dirty bool) {
-	if ev := m.L3[home].Fill(line, 0, dirty); ev.Evicted && ev.Dirty {
+	m.l3Spill(home, m.L3[home].Fill(line, 0, dirty))
+}
+
+// l3Spill writes a dirty line evicted from bank home back to its HBM
+// partition.
+func (m *Machine) l3Spill(home int, ev mem.EvictInfo) {
+	if ev.Evicted && ev.Dirty {
 		m.Sheet.Inc(stats.L3Writebacks)
 		m.Sheet.Inc(stats.DRAMWrites)
 		m.Fabric.DRAM(home, m.Cfg.LineSize)
@@ -229,11 +236,14 @@ func (m *Machine) CommitWriteback(line mem.Addr, ver uint32, from int) {
 // L1 level.
 // ---------------------------------------------------------------------------
 
-// L1Read looks up line in (chiplet, cu)'s L1. On a miss the caller fetches
-// from the L2 level and fills via L1Fill.
+// L1Read looks up line in (chiplet, cu)'s L1. A miss installs the line, in
+// the same probe of its set, with a placeholder version: the caller fetches
+// from the L2 level and must complete the install with L1Fill before it
+// touches that L1 again. The L1 is clean and write-through, so the displaced
+// line needs no writeback.
 func (m *Machine) L1Read(chiplet, cu int, line mem.Addr) (ver uint32, hit bool) {
 	m.Sheet.Inc(stats.L1Accesses)
-	ver, hit = m.L1[chiplet][cu].Read(line)
+	ver, hit, _ = m.L1[chiplet][cu].ReadFill(line)
 	if hit {
 		m.Sheet.Inc(stats.L1Hits)
 	} else {
@@ -243,9 +253,10 @@ func (m *Machine) L1Read(chiplet, cu int, line mem.Addr) (ver uint32, hit bool) 
 	return ver, hit
 }
 
-// L1Fill installs a clean line into (chiplet, cu)'s L1.
+// L1Fill installs a clean line into (chiplet, cu)'s L1. After an L1Read
+// miss it only sets the version of the line that miss installed.
 func (m *Machine) L1Fill(chiplet, cu int, line mem.Addr, ver uint32) {
-	m.L1[chiplet][cu].Fill(line, ver, false)
+	m.L1[chiplet][cu].FillMRU(line, ver)
 }
 
 // L1WriteThrough models a store passing through the write-through,

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -168,6 +169,96 @@ func TestL1PathsAndBoundaryInvalidate(t *testing.T) {
 	}
 	if _, hit := m.L1Read(0, 1, line); hit {
 		t.Error("L1 line survived boundary invalidation")
+	}
+}
+
+// TestL1MissFillMatchesReadThenFill pins L1Read's install-on-miss: an L1Read
+// miss completed by L1Fill, interleaved with write-throughs and boundary
+// invalidations, leaves every line of the L1 exactly as a plain Read then, on
+// a miss, Fill of a reference cache of the same geometry would.
+func TestL1MissFillMatchesReadThenFill(t *testing.T) {
+	m := newM(t)
+	cfg := m.Cfg
+	ref := must(mem.NewCache("ref", cfg.L1SizeBytes, cfg.L1Assoc, cfg.LineSize))
+	base := mem.Addr(0x1000_0000)
+	universe := 3 * ref.Lines()
+	rnd := rand.New(rand.NewSource(7))
+	for op := 0; op < 5000; op++ {
+		line := base + mem.Addr(rnd.Intn(universe)*cfg.LineSize)
+		ver := uint32(op + 1)
+		switch rnd.Intn(10) {
+		case 0:
+			m.L1WriteThrough(0, 1, line, ver)
+			ref.UpdateClean(line, ver)
+		case 1:
+			if rnd.Intn(8) == 0 {
+				m.InvalidateL1s(0)
+				ref.InvalidateAll()
+			}
+		default:
+			v, hit := m.L1Read(0, 1, line)
+			wv, whit := ref.Read(line)
+			if v != wv || hit != whit {
+				t.Fatalf("op %d: L1Read(%#x) = %d,%v, reference %d,%v", op, line, v, hit, wv, whit)
+			}
+			if !hit {
+				m.L1Fill(0, 1, line, ver)
+				ref.Fill(line, ver, false)
+			}
+		}
+		l1 := m.L1[0][1]
+		if l1.ValidLines() != ref.ValidLines() || l1.DirtyLines() != 0 {
+			t.Fatalf("op %d: L1 holds %d lines (%d dirty), reference %d", op, l1.ValidLines(), l1.DirtyLines(), ref.ValidLines())
+		}
+		for i := 0; i < universe; i++ {
+			l := base + mem.Addr(i*cfg.LineSize)
+			v, _, hit := l1.Peek(l)
+			wv, _, whit := ref.Peek(l)
+			if v != wv || hit != whit {
+				t.Fatalf("op %d: line %#x is %d,%v in the L1, %d,%v in the reference", op, l, v, hit, wv, whit)
+			}
+		}
+	}
+}
+
+// TestL3ReadMatchesReadThenFill pins L3Read's install-on-miss against a
+// reference bank driven by Read then, on a miss, a clean Fill: the same hits
+// and the same dirty victims booked as L3 writebacks and DRAM writes.
+func TestL3ReadMatchesReadThenFill(t *testing.T) {
+	g := smallCfg()
+	g.L3SizeBytes = 4 * 64 * 16 * 4 // 4 sets/bank, tiny
+	m := must(New(g, mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 8<<20}, stats.New()))
+	bank := m.L3[2]
+	ref := must(mem.NewCache("ref", bank.Lines()*g.LineSize, bank.Assoc(), g.LineSize))
+	base := mem.Addr(0x1000_0000)
+	universe := 3 * ref.Lines()
+	rnd := rand.New(rand.NewSource(11))
+	var hits, spills uint64
+	for op := 0; op < 5000; op++ {
+		line := base + mem.Addr(rnd.Intn(universe)*g.LineSize)
+		var ev mem.EvictInfo
+		if rnd.Intn(3) == 0 {
+			m.L3Write(line, m.Mem.Store(line), 0, 2)
+			ev = ref.Fill(line, 0, true)
+		} else {
+			m.L3Read(line, 0, 2)
+			if _, hit := ref.Read(line); hit {
+				hits++
+			} else {
+				ev = ref.Fill(line, 0, false)
+			}
+		}
+		if ev.Evicted && ev.Dirty {
+			spills++
+		}
+		sh := m.Sheet
+		if sh.Get(stats.L3Hits) != hits || sh.Get(stats.L3Writebacks) != spills || sh.Get(stats.DRAMWrites) != spills {
+			t.Fatalf("op %d: L3 hits/writebacks/DRAM writes = %d/%d/%d, reference %d/%d/%d", op,
+				sh.Get(stats.L3Hits), sh.Get(stats.L3Writebacks), sh.Get(stats.DRAMWrites), hits, spills, spills)
+		}
+	}
+	if spills == 0 || hits == 0 {
+		t.Fatalf("sequence exercised %d hits and %d dirty spills; want both", hits, spills)
 	}
 }
 

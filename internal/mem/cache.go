@@ -262,6 +262,53 @@ func (c *Cache) Read(line Addr) (ver uint32, hit bool) {
 	return 0, false
 }
 
+// ReadFill is Read followed, on a miss, by Fill(line, 0, false), in one pass
+// over the set: a miss installs line clean with version 0 at the set's MRU
+// slot and returns the way it displaced. The caller completes the install
+// with FillMRU once it knows the line's version. The miss path repeats
+// Fill's instead of sharing a helper with it: the extra call on every miss
+// measured about 4% of a serial run's time.
+//
+//cpelide:noalloc
+func (c *Cache) ReadFill(line Addr) (ver uint32, hit bool, ev EvictInfo) {
+	ways, si, key := c.lookup(line)
+	for i := range ways {
+		if ways[i].key&^dirtyBit == key {
+			moveToFront(ways, i)
+			return ways[0].ver, true, EvictInfo{}
+		}
+	}
+	if n := len(ways); n < c.assoc {
+		c.sets[si] = setRec{epoch: c.epoch, n: uint16(n + 1)}
+		ways = ways[:n+1]
+		c.validLines++
+	} else {
+		old := ways[n-1]
+		ev = EvictInfo{Evicted: true, Line: c.lineOf(old), Ver: old.ver, Dirty: old.dirty()}
+		if old.dirty() {
+			c.dirtyLines--
+		}
+	}
+	copy(ways[1:], ways[:len(ways)-1])
+	ways[0] = way{key: key}
+	return 0, false, ev
+}
+
+// FillMRU is Fill(line, ver, false) for a line that ReadFill has just
+// installed: when the set's MRU slot holds line clean, it sets the version
+// there without probing the rest of the set. Otherwise it falls back to Fill.
+// A line the fallback evicts is dropped, so FillMRU suits caches that never
+// hold dirty lines.
+//
+//cpelide:noalloc
+func (c *Cache) FillMRU(line Addr, ver uint32) {
+	if ways, _, key := c.lookup(line); len(ways) != 0 && ways[0].key == key {
+		ways[0].ver = ver
+		return
+	}
+	c.Fill(line, ver, false)
+}
+
 // Peek reports whether line is cached, without disturbing LRU order.
 //
 //cpelide:noalloc

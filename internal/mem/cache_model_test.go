@@ -232,11 +232,14 @@ func (c *Cache) view(si int) []lineView {
 // TestCacheMatchesReferenceLRU drives Cache and the hole-leaving reference
 // model through the same random operation sequences and requires identical
 // hits, versions, evictions and flush commit sequences, plus the same valid
-// lines in the same LRU order in every set after every operation. Each
-// sequence also spins the 16-bit epoch through a wrap while lines written
-// at epoch 1 are still in the way array. The last geometries place their
-// lines at the top of the index range a way can hold, ending at line
-// MaxLines-1.
+// lines in the same LRU order in every set after every operation. ReadFill
+// is checked against the reference's read then, on a miss, fill with version
+// 0; FillMRU against its clean fill, on both of its paths (the line clean at
+// its set's MRU slot, and the fallback to Fill), each of which every
+// geometry must take. Each sequence also spins the 16-bit epoch through a
+// wrap while lines written at epoch 1 are still in the way array. The last
+// geometries place their lines at the top of the index range a way can hold,
+// ending at line MaxLines-1.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	top := func(sets, assoc int) Addr { return Addr(MaxLines-3*sets*assoc) * 64 }
 	geometries := []struct {
@@ -245,6 +248,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 	}{{4, 4, 0}, {3, 2, 0}, {1, 8, 0}, {4, 4, top(4, 4)}, {3, 2, top(3, 2)}}
 	rnd := rand.New(rand.NewSource(2024))
 	for _, g := range geometries {
+		var mruHits, fallbacks int
 		for trial := 0; trial < 60; trial++ {
 			name := fmt.Sprintf("%dx%d@%#x/trial%d", g.sets, g.assoc, g.base, trial)
 			c := must(NewCache("ref", g.sets*g.assoc*64, g.assoc, 64))
@@ -271,7 +275,7 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 					}
 					check("InvalidateAll through the epoch wrap", n, m.invalidateAll())
 				}
-				switch rnd.Intn(13) {
+				switch rnd.Intn(15) {
 				case 0, 1:
 					v, hit := c.Read(line)
 					wv, whit := m.read(line)
@@ -312,6 +316,30 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 					if rnd.Intn(4) == 0 {
 						check("InvalidateAll", c.InvalidateAll(), m.invalidateAll())
 					}
+				case 13:
+					v, hit, ev := c.ReadFill(line)
+					wv, whit := m.read(line)
+					var wev EvictInfo
+					if !whit {
+						wev = m.fill(line, 0, false)
+					}
+					check(fmt.Sprintf("ReadFill(%#x)", line), []any{v, hit, ev}, []any{wv, whit, wev})
+				case 14:
+					// Half the time complete a ReadFill, as the machine's L1
+					// does; otherwise FillMRU meets whatever the set holds.
+					if rnd.Intn(2) == 0 {
+						c.ReadFill(line)
+						if _, hit := m.read(line); !hit {
+							m.fill(line, 0, false)
+						}
+					}
+					if mru := m.order(int(uint64(line>>6) % uint64(g.sets))); len(mru) != 0 && mru[0].tag == line && !mru[0].dirty {
+						mruHits++
+					} else {
+						fallbacks++
+					}
+					c.FillMRU(line, ver)
+					m.fill(line, ver, false)
 				}
 				wv, wd := m.counts()
 				check("ValidLines/DirtyLines", []int{c.ValidLines(), c.DirtyLines()}, []int{wv, wd})
@@ -319,6 +347,10 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 					check(fmt.Sprintf("set %d", si), c.view(si), m.order(si))
 				}
 			}
+		}
+		if mruHits == 0 || fallbacks == 0 {
+			t.Errorf("%dx%d@%#x: FillMRU took the MRU path %d times and fell back %d times; want both",
+				g.sets, g.assoc, g.base, mruHits, fallbacks)
 		}
 	}
 }

@@ -99,6 +99,12 @@ func TestCacheOpsNoAllocs(t *testing.T) {
 			if _, _, hit := c.Peek(line); !hit {
 				t.Fatal("peek missed")
 			}
+			miss := line + 32*64
+			if _, hit, _ := c.ReadFill(miss); hit {
+				t.Fatal("ReadFill hit a line never filled")
+			}
+			c.FillMRU(miss, uint32(i))
+			c.FillMRU(line, uint32(i)) // no longer MRU: the fallback Fill
 		}
 		for i := 0; i < 32; i++ {
 			c.Invalidate(Addr(i * 64))

@@ -198,7 +198,10 @@ const touchedWords = (int(numCounters) + 63) / 64
 
 // Sheet is a set of named counters, stored as a dense array indexed by
 // Counter with a touched bitset (a touched-but-zero counter still appears in
-// JSON and Counters, matching the former map semantics). The zero value is
+// JSON and Counters, matching the former map semantics). A nonzero counter is
+// touched whatever its bit says, so the bit only has to be set when a write
+// leaves a counter at zero; every writer keeps that rule, which spares Add a
+// read-modify-write of the bitset on every increment. The zero value is
 // ready to use; methods on a nil Sheet are no-ops so components can be run
 // without instrumentation.
 type Sheet struct {
@@ -218,7 +221,9 @@ func New() *Sheet { return &Sheet{} }
 func (s *Sheet) touch(c Counter) { s.touched[c>>6] |= 1 << (c & 63) }
 
 //cpelide:noalloc
-func (s *Sheet) isTouched(c Counter) bool { return s.touched[c>>6]&(1<<(c&63)) != 0 }
+func (s *Sheet) isTouched(c Counter) bool {
+	return s.v[c] != 0 || s.touched[c>>6]&(1<<(c&63)) != 0
+}
 
 // Add increments counter c by n.
 //
@@ -228,7 +233,9 @@ func (s *Sheet) Add(c Counter, n uint64) {
 		return
 	}
 	s.v[c] += n
-	s.touch(c)
+	if s.v[c] == 0 { // n == 0, or a wrap
+		s.touch(c)
+	}
 }
 
 // Inc increments counter c by one.
