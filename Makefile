@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint cpelint fmt bench bench-gate paper-digests cluster loadgen cluster-smoke chaos-smoke
+.PHONY: all build test race lint cpelint fmt bench bench-gate paper-digests loadgen server-smoke
 
 all: build test lint
 
@@ -14,7 +14,7 @@ test:
 # farm's single-flight dedup and backpressure, the event engine the whole
 # simulation core schedules through, and the HTTP server's drain path.
 race:
-	$(GO) test -race -count=1 -timeout 15m ./internal/farm/... ./internal/event/... ./internal/server/... ./internal/cluster/...
+	$(GO) test -race -count=1 -timeout 15m ./internal/farm/... ./internal/event/... ./internal/server/...
 
 # lint = the repo's static gates: the cpelint pass suite (DESIGN §12), go
 # vet, and gofmt. staticcheck runs in CI where it can be installed.
@@ -28,30 +28,18 @@ cpelint:
 fmt:
 	gofmt -w .
 
-# A local 3-worker cluster behind a coordinator on :8070, persistent store
-# in /tmp/cpelide-store (override with CPELIDE_STORE). Foreground; Ctrl-C
-# tears it down. Drive it with `make loadgen` from another shell.
-cluster:
-	@bash scripts/cluster_up.sh
-
-# A reproducible 200-job campaign against the local cluster (or any server:
-# LOADGEN_ADDR=http://host:8080 make loadgen).
+# A reproducible 200-job campaign against a running cpelide-server
+# (LOADGEN_ADDR=http://host:port make loadgen; default localhost:8080).
 loadgen:
-	$(GO) run ./cmd/loadgen -addr $(or $(LOADGEN_ADDR),http://localhost:8070) \
+	$(GO) run ./cmd/loadgen -addr $(or $(LOADGEN_ADDR),http://localhost:8080) \
 		-jobs 200 -distinct 100 -seed 42 -scale 0.05
 
-# The CI cluster gate, locally: 3 workers, a 200-job campaign with a worker
-# crashed mid-run (zero lost jobs required), and a restart-from-store replay
-# that must re-simulate nothing. Writes BENCH_cluster.json.
-cluster-smoke:
-	@bash scripts/cluster_smoke.sh
-
-# The CI chaos gate, locally: SIGKILL the coordinator mid-campaign, restart
-# it with no state (workers rejoin by heartbeat within 5 s, zero lost jobs),
-# corrupt one store file (quarantined + recomputed, store_corrupt_total ==
-# quarantine count). Writes BENCH_chaos.json.
-chaos-smoke:
-	@bash scripts/chaos_smoke.sh
+# The CI server gate, locally: job API checks and a graceful drain, a
+# 200-job campaign cold and again after a restart over the same store
+# (zero simulations), and a corrupted store file quarantined with exactly
+# one re-simulation. Writes BENCH_cluster.json.
+server-smoke:
+	@bash scripts/server_smoke.sh
 
 # Re-measure the committed performance baseline (run on a quiet machine).
 bench:

@@ -17,10 +17,14 @@
 // deterministic outputs, identical on every machine — CI gates on the
 // machine-independent set (allocs, cycles, accesses) against the committed
 // baseline, while ns_per_op tracks the local trajectory and powers the
-// planted-slowdown self-test.
+// planted-slowdown self-test. ns_per_op is only comparable on one machine,
+// so every results file records its host (GOOS/GOARCH, CPU model, NumCPU),
+// and gating ns against a file from another host, or from none, fails
+// without comparing.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -65,10 +69,31 @@ type benchResult struct {
 	Accesses uint64 `json:"accesses"`
 }
 
+// benchHost identifies the machine a results file was measured on. CPU is
+// the model name from /proc/cpuinfo, empty where that is unreadable.
+type benchHost struct {
+	GOOS   string `json:"goos"`
+	GOARCH string `json:"goarch"`
+	CPU    string `json:"cpu,omitempty"`
+	NumCPU int    `json:"num_cpu"`
+}
+
+func (h *benchHost) String() string {
+	if h == nil {
+		return "(no host recorded)"
+	}
+	cpu := h.CPU
+	if cpu == "" {
+		cpu = "unknown CPU"
+	}
+	return fmt.Sprintf("%s/%s, %s, %d CPUs", h.GOOS, h.GOARCH, cpu, h.NumCPU)
+}
+
 // benchFile is the results-file schema.
 type benchFile struct {
 	Schema     string        `json:"schema"`
 	GoVersion  string        `json:"go_version"`
+	Host       *benchHost    `json:"host,omitempty"`
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
@@ -124,7 +149,7 @@ func main() {
 			for _, f := range failures {
 				log.Print(f)
 			}
-			log.Fatalf("gate FAILED: %d regression(s) beyond %.0f%%", len(failures), 100**maxRegress)
+			log.Fatalf("gate FAILED: %d violation(s) (regression limit %.0f%%)", len(failures), 100**maxRegress)
 		}
 		log.Printf("gate passed: no metric regressed beyond %.0f%%", 100**maxRegress)
 		if *out == "" {
@@ -171,7 +196,7 @@ func load(path string) (*benchFile, error) {
 
 // measure runs the matrix.
 func measure() *benchFile {
-	out := &benchFile{Schema: schemaV1, GoVersion: runtime.Version()}
+	out := &benchFile{Schema: schemaV1, GoVersion: runtime.Version(), Host: thisHost()}
 	for _, c := range matrix {
 		name := fmt.Sprintf("%s/%s", c.Workload, strings.ToLower(c.Protocol.String()))
 		var rep *cpelide.Report
@@ -201,6 +226,24 @@ func measure() *benchFile {
 	return out
 }
 
+// thisHost describes the machine measure runs on.
+func thisHost() *benchHost {
+	h := &benchHost{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU()}
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return h
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			h.CPU = strings.TrimSpace(v)
+			break
+		}
+	}
+	return h
+}
+
 func runOne(c benchCase) (*cpelide.Report, error) {
 	cfg := cpelide.DefaultConfig(4)
 	alloc := cpelide.NewAllocator(cfg.PageSize)
@@ -214,17 +257,24 @@ func runOne(c benchCase) (*cpelide.Report, error) {
 // gate compares the under-test results to the baseline and returns one
 // message per violation: a gated metric more than maxRegress worse, or a
 // baseline benchmark missing from the run. New benchmarks (in cur, not in
-// base) pass — the matrix is allowed to grow.
+// base) pass — the matrix is allowed to grow. ns is compared only when
+// both files record the same host; otherwise the mismatch is the violation.
 func gate(base, cur *benchFile, maxRegress float64, gateMetrics []string) []string {
 	want := map[string]bool{}
 	for _, m := range gateMetrics {
 		want[strings.TrimSpace(m)] = true
 	}
+	var failures []string
+	if want["ns"] && (base.Host == nil || cur.Host == nil || *base.Host != *cur.Host) {
+		failures = append(failures, fmt.Sprintf(
+			"ns: not comparable across hosts: baseline measured on %v, results under test on %v",
+			base.Host, cur.Host))
+		want["ns"] = false
+	}
 	curBy := map[string]benchResult{}
 	for _, b := range cur.Benchmarks {
 		curBy[b.Name] = b
 	}
-	var failures []string
 	check := func(name, metric string, baseV, curV float64) {
 		if !want[metric] || baseV <= 0 {
 			return

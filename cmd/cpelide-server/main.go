@@ -1,23 +1,17 @@
 // Command cpelide-server runs the experiment-farm HTTP server
-// (internal/server): standalone by default, or as one worker in a cluster
-// when pointed at a cpelide-coordinator. In worker mode it registers itself
-// on startup, re-sends that registration every second so a restarted
-// coordinator relearns it, serves health checks at /healthz, and
-// deregisters on shutdown.
+// (internal/server) and serves health checks at /healthz.
 //
 // With -store, results are persisted to a content-addressed on-disk store
 // under the in-memory LRU; on startup the cache is warmed from the most
-// recently written entries, so a restarted worker (or a fresh one pointed at
-// a shared directory) serves prior results without re-simulating.
+// recently written entries, so a restarted server serves prior results
+// without re-simulating.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -25,8 +19,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/cluster/diskstore"
+	"repro/internal/diskstore"
 	"repro/internal/farm"
 	"repro/internal/metrics"
 	"repro/internal/server"
@@ -41,11 +34,7 @@ func main() {
 		cacheCap  = flag.Int("cache", farm.DefaultCacheEntries, "result cache entries, failed runs included (0 = default); a job evicted from it answers 404")
 		jobTO     = flag.Duration("job-timeout", 0, "deadline for one simulation (0 = none)")
 		logJSON   = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
-
-		storeDir    = flag.String("store", "", "persistent result-store directory (empty disables; share it between workers for a cluster-wide store)")
-		coordinator = flag.String("coordinator", "", "coordinator base URL to register with (empty = standalone)")
-		advertise   = flag.String("advertise", "", "base URL workers advertise to the coordinator (default http://localhost<addr>)")
-		nodeName    = flag.String("node", "", "worker name for routing and metrics (default worker<addr>)")
+		storeDir  = flag.String("store", "", "persistent result-store directory (empty disables)")
 	)
 	flag.Parse()
 
@@ -85,8 +74,8 @@ func main() {
 
 	eng := farm.New(opts)
 	if store != nil {
-		// Warm the LRU from the store's freshest entries so a restart (or a
-		// new worker on a shared store) starts hot instead of cold.
+		// Warm the LRU from the store's freshest entries so a restart
+		// starts hot instead of cold.
 		capacity := *cacheCap
 		if capacity == 0 {
 			capacity = farm.DefaultCacheEntries
@@ -109,38 +98,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("listening", "addr", *addr, "workers", eng.Workers(), "queue", *queueCap)
-
-	// Worker mode: announce ourselves to the coordinator once the listener
-	// is up; a failed registration is fatal because unregistered workers
-	// never receive traffic. The heartbeat then keeps the registration
-	// alive across coordinator restarts.
-	if *coordinator != "" {
-		worker := cluster.Worker{Name: *nodeName, URL: *advertise}
-		if worker.URL == "" {
-			worker.URL = guessAdvertiseURL(*addr)
-		}
-		if worker.Name == "" {
-			worker.Name = "worker" + *addr
-		}
-		regCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		err := cluster.RegisterWorker(regCtx, nil, *coordinator, worker)
-		cancel()
-		if err != nil {
-			logger.Error("register with coordinator", "coordinator", *coordinator, "err", err)
-			os.Exit(1)
-		}
-		logger.Info("registered", "coordinator", *coordinator,
-			"node", worker.Name, "url", worker.URL)
-		stopHeartbeat := cluster.Heartbeat(nil, *coordinator, worker)
-		defer func() {
-			stopHeartbeat()
-			deregCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := cluster.DeregisterWorker(deregCtx, nil, *coordinator, worker.Name); err != nil {
-				logger.Warn("deregister", "err", err)
-			}
-		}()
-	}
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
@@ -184,17 +141,4 @@ func main() {
 	c := eng.Counters()
 	logger.Info("drained", "jobs", c.Jobs, "runs", c.Runs, "cache_hits", c.CacheHits,
 		"store_hits", c.StoreHits, "errors", c.Errors)
-}
-
-// guessAdvertiseURL turns a listen address into a base URL other processes
-// on the same host can reach; multi-host deployments must pass -advertise.
-func guessAdvertiseURL(addr string) string {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "http://" + addr
-	}
-	if host == "" || host == "0.0.0.0" || host == "::" {
-		host = "localhost"
-	}
-	return fmt.Sprintf("http://%s:%s", host, port)
 }

@@ -1,7 +1,7 @@
 // Command loadgen replays a configurable job mix against a cpelide-server
-// or cpelide-coordinator and reports latency percentiles, throughput, and
-// cache behavior. It exits nonzero if any job was lost or failed, so CI can
-// use a campaign as a cluster-correctness gate.
+// and reports latency percentiles, throughput, and cache behavior. It exits
+// nonzero if any job was lost or failed, so CI can use a campaign as a
+// correctness gate.
 package main
 
 import (
@@ -14,12 +14,12 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/loadgen"
 )
 
 func main() {
 	var (
-		addr        = flag.String("addr", "http://localhost:8070", "server or coordinator base URL")
+		addr        = flag.String("addr", "http://localhost:8080", "server base URL")
 		jobs        = flag.Int("jobs", 100, "total submissions")
 		distinct    = flag.Int("distinct", 0, "distinct job bodies (0 = jobs); repeats exercise caches")
 		concurrency = flag.Int("concurrency", 8, "parallel clients")
@@ -28,13 +28,13 @@ func main() {
 		seed        = flag.Int64("seed", 1, "schedule seed (campaigns are reproducible per seed)")
 		poll        = flag.Duration("poll", 25*time.Millisecond, "status-poll interval")
 		jobTimeout  = flag.Duration("job-timeout", 120*time.Second, "per-job completion bound; beyond it a job counts as lost")
-		retryMax    = flag.Duration("retry-max", 2*time.Second, "cap of the transient-error backoff (coordinator bounce), which starts at 50ms and doubles")
+		retryMax    = flag.Duration("retry-max", 2*time.Second, "cap of the transient-error backoff (server restart), which starts at 50ms and doubles")
 		jsonOut     = flag.Bool("json", false, "print the result as JSON instead of text")
 		outPath     = flag.String("out", "", "also write the JSON result to this file")
 	)
 	flag.Parse()
 
-	mix, err := cluster.ParseMix(*mixSpec)
+	mix, err := loadgen.ParseMix(*mixSpec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -43,7 +43,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	res, err := cluster.Campaign{
+	res, err := loadgen.Campaign{
 		BaseURL:       *addr,
 		Jobs:          *jobs,
 		Distinct:      *distinct,
@@ -78,8 +78,8 @@ func main() {
 			res.Jobs, res.Completed, res.Failed, res.Lost, res.Resubmits, res.TransientRetries)
 		fmt.Printf("elapsed     %.1f ms  (%.1f jobs/s)\n", res.ElapsedMS, res.ThroughputJPS)
 		fmt.Printf("latency ms  p50 %.1f  p90 %.1f  p99 %.1f\n", res.P50MS, res.P90MS, res.P99MS)
-		fmt.Printf("cache       hit rate %.2f (lru %d, dedup %d, store %d; runs %d)\n",
-			res.CacheHitRate, res.CacheHits, res.DedupWaits, res.StoreHits, res.Runs)
+		fmt.Printf("cache       hit rate %.2f (lru answers %d, cache hits %d, dedup %d, store %d; runs %d)\n",
+			res.CacheHitRate, res.LRUAnswers, res.CacheHits, res.DedupWaits, res.StoreHits, res.Runs)
 	}
 	if res.Lost > 0 || res.Failed > 0 {
 		os.Exit(1)

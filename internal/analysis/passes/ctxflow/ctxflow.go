@@ -1,7 +1,6 @@
 // Package ctxflow implements the cpelint pass that enforces context hygiene
-// in the distributed layers (packages farm, cluster, and server), which
-// run the farm's workers, held result fetches, health probes, heartbeats
-// and hedged submits as goroutines. The two failure modes this pass exists
+// in the serving layers (packages farm and server), which run the farm's
+// workers and held result fetches as goroutines. The two failure modes this pass exists
 // to stop both manifest as goroutine leaks that no unit test catches:
 //
 //   - context laundering: a function that already receives a ctx calls
@@ -9,14 +8,14 @@
 //     severs the caller's cancellation and deadline. Such a function must
 //     derive from the ctx it holds (context.WithTimeout(ctx, ...)). Minting
 //     a root is legitimate only in functions with no ctx parameter — a
-//     worker's heartbeat goroutine owns its own lifetime and is not
-//     flagged.
+//     job started by farm.Start outlives the request that started it and
+//     is not flagged.
 //
 //   - unstoppable service loops: a `for { select { ... } }` loop with no
 //     cancellation case spins until process exit. Every such select must
 //     have at least one case receiving from a channel of element type
 //     struct{} — which covers both ctx.Done() and the close-a-quit-channel
-//     idiom (chan struct{}) the farm and coordinator use.
+//     idiom (chan struct{}) the farm uses.
 //
 // Test files are exempt: tests mint context.Background() at the top level by
 // design and their loops are bounded by test timeouts.
@@ -32,7 +31,7 @@ import (
 // Analyzer is the ctxflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "in the farm/cluster/server packages, functions holding a context.Context must not mint " +
+	Doc: "in the farm/server packages, functions holding a context.Context must not mint " +
 		"fresh roots via context.Background/TODO, and for{select} loops must include a " +
 		"cancellation case (ctx.Done() or a struct{} quit channel)",
 	Run: run,
@@ -42,9 +41,8 @@ var Analyzer = &analysis.Analyzer{
 // goroutines and hold contexts. Matched by name so fixtures can use short
 // package paths.
 var scopedPkgs = map[string]bool{
-	"farm":    true,
-	"cluster": true,
-	"server":  true,
+	"farm":   true,
+	"server": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,4 +1,4 @@
-// Package sim is outside the ctxflow scope (not farm/cluster/server): the
+// Package sim is outside the ctxflow scope (not farm/server): the
 // same shapes report nothing.
 package sim
 

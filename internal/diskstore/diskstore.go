@@ -1,12 +1,10 @@
-// Package diskstore is the cluster's persistent content-addressed result
+// Package diskstore is the server's persistent content-addressed result
 // store: one JSON file per simulation report, keyed by the farm's canonical
 // job hash, sharded across 256 subdirectories by the key's first byte.
 //
 // The store sits underneath the farm's in-memory LRU (farm.Options.Store):
-// a worker that restarts warm-starts its cache from disk, and workers that
-// share one store directory — a shared filesystem in a real deployment, a
-// common tmpdir in the local cluster — share every computed result, so a
-// job resubmitted after a node failure is a store hit, not a recompute.
+// a server that restarts warm-starts its cache from disk, so a job
+// resubmitted after a restart is a store hit, not a recompute.
 //
 // Integrity: each entry is a versioned envelope ("diskstore/v1") carrying
 // the raw report JSON plus its CRC-32C, so a bit-flipped or truncated file

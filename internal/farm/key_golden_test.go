@@ -164,7 +164,7 @@ func TestGoldenKeyVectors(t *testing.T) {
 
 // TestKeyStableUnderJSONSpelling decodes the same job from JSON documents
 // that reorder fields, omit defaults, and vary member case, and demands one
-// key. Clients (coordinator, loadgen, curl users) serialize jobs however
+// key. Clients (loadgen, curl users) serialize jobs however
 // their encoder pleases; content addressing must not care.
 func TestKeyStableUnderJSONSpelling(t *testing.T) {
 	ref := mustKey(t, baseJob())

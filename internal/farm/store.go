@@ -5,10 +5,10 @@ import (
 )
 
 // Store is a persistent, content-addressed result store layered underneath
-// the in-memory LRU (internal/cluster/diskstore is the on-disk
-// implementation). The farm consults it after an LRU miss before running a
-// simulation, and writes every freshly computed report back, so results
-// survive process restarts and — when workers share one store — node churn.
+// the in-memory LRU (internal/diskstore is the on-disk implementation).
+// The farm consults it after an LRU miss before running a simulation, and
+// writes every freshly computed report back, so results survive process
+// restarts.
 //
 // Contract: Get returns (nil, false, nil) for a never-stored key; an
 // unreadable or corrupt entry is (nil, false, err) so the farm can count it

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/cluster/diskstore"
+	"repro/internal/diskstore"
 	"repro/internal/workloads"
 )
 

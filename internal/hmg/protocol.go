@@ -296,7 +296,8 @@ func (p *Protocol) invalidateSharers(home int, line mem.Addr, keep int) int {
 func (p *Protocol) invalidateMask(home int, g mem.Addr, mask uint16) int {
 	m := p.m
 	d := p.dirs[home]
-	rs := mem.NewRangeSet(d.groupRange(g))
+	r := d.groupRange(g)
+	step := mem.Addr(m.Cfg.LineSize)
 	n := 0
 	for c := 0; c < m.Cfg.NumChiplets; c++ {
 		if mask&(1<<c) == 0 {
@@ -310,7 +311,9 @@ func (p *Protocol) invalidateMask(home int, g mem.Addr, mask uint16) int {
 		}
 		// Dirty copies can exist only in the write-back variant and only
 		// at the home, which is never in the mask; drops are safe.
-		m.L2[c].InvalidateRanges(rs)
+		for line := r.Lo; line < r.Hi; line += step {
+			m.L2[c].Invalidate(line)
+		}
 	}
 	return n
 }

@@ -1,4 +1,7 @@
-package cluster
+// Package loadgen replays a seeded job mix against one cpelide-server and
+// reports latency percentiles, throughput and how the server answered: from
+// its result cache, its persistent store, or a fresh simulation.
+package loadgen
 
 import (
 	"bytes"
@@ -61,8 +64,8 @@ func ParseMix(s string) ([]MixEntry, error) {
 	return mix, nil
 }
 
-// Campaign describes one load-generation run against a server or
-// coordinator URL. The zero value of every tunable has a usable default.
+// Campaign describes one load-generation run against a server URL. The
+// zero value of every tunable has a usable default.
 type Campaign struct {
 	BaseURL string
 	// Jobs is the total number of submissions (default 100).
@@ -88,16 +91,11 @@ type Campaign struct {
 	JobTimeout time.Duration
 	// RetryMaxDelay caps the transient-error backoff (default 2s), which
 	// starts at retryBaseDelay and doubles per consecutive error, so a
-	// coordinator bounce delays a campaign instead of failing it while the
+	// server restart delays a campaign instead of failing it while the
 	// client never hammers a recovering endpoint.
 	RetryMaxDelay time.Duration
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
-	// OnTransientRetry, when non-nil, is called each time a transient
-	// transport error is absorbed (one Result.TransientRetries count),
-	// concurrently from the campaign's clients. Harnesses use it to hold
-	// an outage open until a request has observed it.
-	OnTransientRetry func()
 }
 
 // Result summarizes a campaign. Latencies are exact percentiles over every
@@ -119,7 +117,11 @@ type Result struct {
 	P99MS         float64 `json:"p99_ms"`
 
 	// Cache behavior over the campaign window, from /v1/stats deltas.
+	// LRUAnswers counts submits the server answered 200 from its result
+	// cache, which reach no farm counter; CacheHitRate is the share of the
+	// server's answers (farm jobs plus LRUAnswers) that ran nothing new.
 	CacheHitRate float64 `json:"cache_hit_rate"`
+	LRUAnswers   uint64  `json:"lru_answers"`
 	CacheHits    uint64  `json:"cache_hits"`
 	DedupWaits   uint64  `json:"dedup_waits"`
 	StoreHits    uint64  `json:"store_hits"`
@@ -280,12 +282,14 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 	res.P50MS, res.P90MS, res.P99MS = pct(0.50), pct(0.90), pct(0.99)
 
 	if after, err := c.fetchStats(ctx); err == nil && before != nil {
+		res.LRUAnswers = after.LRUAnswers - before.LRUAnswers
 		res.CacheHits = after.Farm.CacheHits - before.Farm.CacheHits
 		res.DedupWaits = after.Farm.DedupWaits - before.Farm.DedupWaits
 		res.StoreHits = after.Farm.StoreHits - before.Farm.StoreHits
 		res.Runs = after.Farm.Runs - before.Farm.Runs
-		if jobs := after.Farm.Jobs - before.Farm.Jobs; jobs > 0 {
-			res.CacheHitRate = float64(res.CacheHits+res.DedupWaits+res.StoreHits) / float64(jobs)
+		if answers := after.Farm.Jobs - before.Farm.Jobs + res.LRUAnswers; answers > 0 {
+			hits := res.LRUAnswers + res.CacheHits + res.DedupWaits + res.StoreHits
+			res.CacheHitRate = float64(hits) / float64(answers)
 		}
 	}
 	return &res, nil
@@ -300,10 +304,10 @@ const (
 )
 
 // driveJob pushes one body through submit -> poll -> result, resubmitting
-// on 404 (the cluster lost track, e.g. across a coordinator restart),
-// honoring Retry-After on backpressure, and absorbing transient transport
-// errors — a refused or reset connection while the coordinator restarts —
-// with capped full-jitter backoff rather than losing the job.
+// on 404 (the server's result cache evicted the job, or the server
+// restarted), honoring Retry-After on backpressure, and absorbing transient
+// transport errors — a refused or reset connection while the server
+// restarts — with capped full-jitter backoff rather than losing the job.
 func (c Campaign) driveJob(ctx context.Context, body []byte) (time.Duration, int, int, jobOutcome) {
 	ctx, cancel := context.WithTimeout(ctx, c.JobTimeout)
 	defer cancel()
@@ -361,7 +365,7 @@ func (c Campaign) driveJob(ctx context.Context, body []byte) (time.Duration, int
 			case http.StatusAccepted:
 				c.sleep(ctx, retryAfter)
 			case http.StatusNotFound:
-				// The job fell out of the cluster's memory; resubmit it.
+				// The job fell out of the server's memory; resubmit it.
 				goto resubmit
 			case http.StatusInternalServerError:
 				return 0, max(resubmits, 0), retries, outcomeFailed
@@ -388,16 +392,16 @@ func (c Campaign) sleep(ctx context.Context, d time.Duration) {
 }
 
 // retryBaseDelay is the first backoff after a transient transport error
-// (connection refused/reset while a coordinator restarts).
+// (connection refused/reset while the server restarts).
 const retryBaseDelay = 50 * time.Millisecond
 
-// backoff absorbs the streak-th consecutive transport error: it reports
-// the retry to OnTransientRetry, then sleeps a full-jitter exponential
-// delay, uniform in (0, min(retryBaseDelay<<(streak-1), RetryMaxDelay)].
+// maxBody bounds the response bodies a client buffers.
+const maxBody = 1 << 20
+
+// backoff absorbs the streak-th consecutive transport error with a
+// full-jitter exponential delay, uniform in
+// (0, min(retryBaseDelay<<(streak-1), RetryMaxDelay)].
 func (c Campaign) backoff(ctx context.Context, streak int) {
-	if c.OnTransientRetry != nil {
-		c.OnTransientRetry()
-	}
 	delay := retryBaseDelay
 	for i := 1; i < streak && delay < c.RetryMaxDelay; i++ {
 		delay <<= 1
@@ -456,8 +460,7 @@ func retryAfter(resp *http.Response) time.Duration {
 	return 0
 }
 
-// fetchStats reads /v1/stats in the worker schema; the coordinator's
-// aggregate endpoint embeds the same shape.
+// fetchStats reads the server's /v1/stats.
 func (c Campaign) fetchStats(ctx context.Context) (*server.StatsResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/stats", nil)
 	if err != nil {

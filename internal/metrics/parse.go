@@ -8,8 +8,7 @@ import (
 // ParseValue extracts one series' value from a Prometheus text exposition,
 // as produced by WritePrometheus. The series name must match exactly,
 // including any label set (e.g. `http_requests_total{code="202"}`). It
-// returns false when the series is absent. Tests and the cluster harness
-// use it to assert on scraped metrics without a Prometheus dependency.
+// returns false when the series is absent. Tests use it to assert on scraped metrics without a Prometheus dependency.
 func ParseValue(exposition, series string) (float64, bool) {
 	for _, line := range strings.Split(exposition, "\n") {
 		if line == "" || line[0] == '#' {

@@ -53,21 +53,12 @@ func TestErrorSchema(t *testing.T) {
 		{"unknown protocol", "POST", "/v1/jobs", `{"workload":"square","protocol":"quantum"}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"unknown job", "GET", "/v1/jobs/" + strings.Repeat("0", 64), "", http.StatusNotFound, ErrCodeNotFound},
 		{"unknown job result", "GET", "/v1/jobs/" + strings.Repeat("0", 64) + "/result", "", http.StatusNotFound, ErrCodeNotFound},
-		{"unknown figure", "GET", "/v1/figures/fig99", "", http.StatusNotFound, ErrCodeNotFound},
-		{"bad figure param", "GET", "/v1/figures/fig2?scale=potato", "", http.StatusBadRequest, ErrCodeBadRequest},
-		{"NaN figure scale", "GET", "/v1/figures/fig2?scale=NaN&workloads=square", "", http.StatusBadRequest, ErrCodeBadRequest},
-		{"infinite figure scale", "GET", "/v1/figures/fig2?scale=Inf", "", http.StatusBadRequest, ErrCodeBadRequest},
-		{"negative figure scale", "GET", "/v1/figures/fig2?scale=-1", "", http.StatusBadRequest, ErrCodeBadRequest},
-		{"zero figure chiplets", "GET", "/v1/figures/fig8?chiplets=0", "", http.StatusBadRequest, ErrCodeBadRequest},
-		{"negative figure chiplets", "GET", "/v1/figures/fig8?chiplets=-3", "", http.StatusBadRequest, ErrCodeBadRequest},
-		{"unknown figure workload", "GET", "/v1/figures/fig2?workloads=nosuch", "", http.StatusBadRequest, ErrCodeBadRequest},
+		{"unknown figure", "GET", "/v1/figures/fig2", "", http.StatusNotFound, ErrCodeNotFound},
 		{"negative job scale", "POST", "/v1/jobs", `{"workload":"square","scale":-1}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"negative job chiplets", "POST", "/v1/jobs", `{"workload":"square","chiplets":-2}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"too many job chiplets", "POST", "/v1/jobs", `{"workload":"square","scale":0.05,"chiplets":17}`, http.StatusBadRequest, ErrCodeBadRequest},
-		{"too many figure chiplets", "GET", "/v1/figures/fig8?chiplets=17&scale=0.05&workloads=square", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{"directory too large to allocate", "POST", "/v1/jobs", `{"workload":"square","scale":0.05,"protocol":"hmg","dir_entries":2000000000}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"job footprint too large", "POST", "/v1/jobs", `{"workload":"square","scale":1e6}`, http.StatusBadRequest, ErrCodeBadRequest},
-		{"figure footprint too large", "GET", "/v1/figures/fig2?scale=1e6&workloads=square", "", http.StatusBadRequest, ErrCodeBadRequest},
 		{"directory group span not a power of two", "POST", "/v1/jobs", `{"workload":"square","scale":0.05,"protocol":"hmg","dir_lines_per_entry":3}`, http.StatusBadRequest, ErrCodeBadRequest},
 		{"unrouted path", "GET", "/v2/nothing/here", "", http.StatusNotFound, ErrCodeNotFound},
 	}

@@ -64,8 +64,9 @@ func TestRequestIDHeader(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint submits a job, waits for it, and checks /metrics for
-// valid Prometheus exposition covering the farm, server, and HTTP series.
+// TestMetricsEndpoint submits a job, waits for it, resubmits it, and checks
+// /metrics for valid Prometheus exposition covering the farm, server, and
+// HTTP series.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts, _ := newInstrumentedServer(t, nil)
 
@@ -84,6 +85,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("job did not finish: %+v", st)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if code, _ := post(t, ts, `{"workload": "square", "scale": 0.1, "protocol": "cpelide"}`); code != http.StatusOK {
+		t.Fatalf("resubmit: got %d, want 200", code)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -114,6 +118,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cp_watchdog_degradations_total 0",
 		"server_queue_cap 8",
 		"server_queue_depth 0",
+		"server_lru_answers_total 1",
 		`http_requests_total{code="202"} 1`,
 		"# TYPE http_request_duration_us histogram",
 	} {

@@ -1,16 +1,13 @@
 // Package server exposes the experiment farm over HTTP/JSON: submit
-// simulation jobs, poll their status, fetch full reports, and regenerate
-// whole paper figures, all backed by the farm's worker pool and
-// content-addressed result cache. Job IDs are the canonical content hash of
-// the request, so resubmitting an identical job returns the same ID and —
-// once it has run anywhere in the process — its cached report. The server
-// keeps no job table of its own: a job's status is its farm flight while it
-// runs and its result-cache entry after, so a job the cache has evicted
-// answers 404 and a client resubmits it.
+// simulation jobs, poll their status and fetch full reports, all backed by
+// the farm's worker pool and content-addressed result cache. Job IDs are
+// the canonical content hash of the request, so resubmitting an identical
+// job returns the same ID and — once it has run anywhere in the process —
+// its cached report. The server keeps no job table of its own: a job's
+// status is its farm flight while it runs and its result-cache entry after,
+// so a job the cache has evicted answers 404 and a client resubmits it.
 //
-// cmd/cpelide-server wraps this package as a standalone binary; in a cluster
-// the same server runs as a worker behind cmd/cpelide-coordinator, which
-// routes jobs here by their content hash.
+// cmd/cpelide-server wraps this package as a binary.
 //
 // Every non-2xx response uses one JSON shape, ErrorResponse: a human-readable
 // message, a stable machine-readable code (the ErrCode* constants), and the
@@ -33,11 +30,9 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/experiments"
 	"repro/internal/farm"
 	"repro/internal/hmg"
 	"repro/internal/metrics"
-	"repro/internal/workloads"
 )
 
 // JobRequest is the POST /v1/jobs body. Either workload (single stream
@@ -92,29 +87,9 @@ func checkScale(f float64) error {
 	return nil
 }
 
-// checkFigureFootprint rejects a figure whose workloads, built at p's
-// scale, would exceed cpelide.MaxFootprintBytes in a single-stream run.
-func checkFigureFootprint(p experiments.Params) error {
-	names := p.Workloads
-	if len(names) == 0 {
-		names = workloads.Names()
-	}
-	for _, name := range names {
-		j := farm.Job{
-			Workload: name,
-			Params:   workloads.Params{Scale: p.Scale, Iters: p.Iters},
-			Config:   cpelide.DefaultConfig(4),
-		}
-		if err := j.CheckFootprint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Job converts the request into a farm job, rejecting a machine config
-// that would not validate. The cluster coordinator uses it to compute a
-// submission's content hash for routing without running anything.
+// that would not validate. It runs nothing and does not check the
+// footprint, so computing a submission's content hash stays cheap.
 func (r JobRequest) Job() (farm.Job, error) {
 	proto, err := parseProtocol(r.Protocol)
 	if err != nil {
@@ -178,10 +153,15 @@ const resultHold = time.Second
 const PendingRetryAfter = "0"
 
 // Server is the HTTP front of one farm. It keeps no per-job state, only a
-// count of accepted submissions still running, which bounds admission.
+// count of accepted submissions still running, which bounds admission, and
+// a count of submissions answered from the farm's result cache.
 type Server struct {
 	farm     *farm.Farm
 	queueCap int
+
+	// lruAnswers counts submits answered 200 from the farm's result cache
+	// (a finished job), which move no farm counter.
+	lruAnswers *metrics.Counter
 
 	// reg and log are the observability surface: a nil registry makes every
 	// metric a detached no-op and a nil logger discards, so tests that only
@@ -201,10 +181,10 @@ func New(f *farm.Farm, queueCap int) *Server {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	return &Server{farm: f, queueCap: queueCap}
+	return &Server{farm: f, queueCap: queueCap, lruAnswers: &metrics.Counter{}}
 }
 
-// instrument attaches the observability surface: the metrics registry
+// Instrument attaches the observability surface: the metrics registry
 // (server gauges; the HTTP middleware and /metrics mount read it too) and
 // the structured logger. Call before Handler(); both may be nil.
 func (s *Server) Instrument(reg *metrics.Registry, logger *slog.Logger) {
@@ -212,6 +192,7 @@ func (s *Server) Instrument(reg *metrics.Registry, logger *slog.Logger) {
 	s.log = logger
 	reg.GaugeFunc("server_queue_depth", "Accepted jobs not yet finished.", s.pending.Load)
 	reg.Gauge("server_queue_cap", "Accepted jobs allowed beyond the farm workers before submissions get 429.").Set(int64(s.queueCap))
+	s.lruAnswers = reg.Counter("server_lru_answers_total", "Submits answered 200 from the farm's result cache.")
 }
 
 // logger returns the structured logger, discarding when none was attached.
@@ -231,23 +212,11 @@ func (s *Server) Drain() {
 	s.wg.Wait()
 }
 
-// figures maps the figure-endpoint names onto the experiment suite (fig8
-// takes a chiplet count and is handled separately).
-var figures = map[string]func(experiments.Params) (*experiments.Result, error){
-	"fig2":        experiments.Figure2,
-	"fig9":        experiments.Figure9,
-	"fig10":       experiments.Figure10,
-	"table2":      experiments.TableII,
-	"scaling":     experiments.ScalingStudy,
-	"multistream": experiments.MultiStream,
-}
-
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /v1/figures/{name}", s.handleFigure)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -324,7 +293,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // HTTP statuses may be reworded, codes may not.
 const (
 	ErrCodeBadRequest = "bad_request" // malformed body, unknown field values
-	ErrCodeNotFound   = "not_found"   // unknown job, figure, or endpoint
+	ErrCodeNotFound   = "not_found"   // unknown job or endpoint
 	ErrCodeQueueFull  = "queue_full"  // submission shed; retry after backoff
 	ErrCodeDraining   = "draining"    // shutting down; resubmit elsewhere
 	ErrCodeJobFailed  = "job_failed"  // the simulation itself errored
@@ -369,13 +338,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if st, ok := s.farm.Status(id); ok && st.State != "error" {
+		if st.State == "done" {
+			s.lruAnswers.Inc()
+		}
 		writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: st.State})
 		return
 	}
 	// Like an oversized directory, an oversized memory image would kill
 	// the process at run time. Building the descriptors that say how large
 	// it would be costs microseconds, so it happens here, once per admitted
-	// submission, and not in Job, which the coordinator calls to route.
+	// submission, and not in Job.
 	if err := job.CheckFootprint(); err != nil {
 		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
 		return
@@ -449,107 +421,38 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleFigure regenerates one paper figure synchronously through the farm;
-// repeated calls are near-free thanks to the result cache. Query params:
-// scale, iters, workloads (comma-separated), and chiplets (fig8 only).
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	p := experiments.Params{Farm: s.farm}
-	q := r.URL.Query()
-	if v := q.Get("scale"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err == nil {
-			err = checkScale(f)
-		}
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad scale %q", v)
-			return
-		}
-		p.Scale = f
-	}
-	if v := q.Get("iters"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad iters %q", v)
-			return
-		}
-		p.Iters = n
-	}
-	if v := q.Get("workloads"); v != "" {
-		p.Workloads = strings.Split(v, ",")
-		for _, name := range p.Workloads {
-			if _, ok := workloads.Get(name); !ok {
-				writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "unknown workload %q", name)
-				return
-			}
-		}
-	}
-	if err := checkFigureFootprint(p); err != nil {
-		writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad scale %q: %v", q.Get("scale"), err)
-		return
-	}
-
-	if name == "fig8" {
-		n := 4
-		if v := q.Get("chiplets"); v != "" {
-			var err error
-			if n, err = strconv.Atoi(v); err == nil {
-				err = cpelide.DefaultConfig(n).Validate()
-			}
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, ErrCodeBadRequest, "bad chiplets %q: %v", v, err)
-				return
-			}
-		}
-		results, err := experiments.Figure8(p, n)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, results[n])
-		return
-	}
-	fn, ok := figures[name]
-	if !ok {
-		writeErr(w, http.StatusNotFound, ErrCodeNotFound, "unknown figure %q (have fig2, fig8, fig9, fig10, table2, scaling, multistream)", name)
-		return
-	}
-	res, err := fn(p)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, ErrCodeInternal, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
 // StatsResponse is the GET /v1/stats body. QueueLen counts accepted jobs
 // not yet finished; submissions get 429 once it reaches Workers + QueueCap.
+// LRUAnswers counts submits answered from the result cache, which no farm
+// counter sees.
 type StatsResponse struct {
-	Farm     farm.Counters `json:"farm"`
-	CacheLen int           `json:"cache_len"`
-	QueueLen int           `json:"queue_len"`
-	QueueCap int           `json:"queue_cap"`
-	Workers  int           `json:"workers"`
-	Draining bool          `json:"draining"`
+	Farm       farm.Counters `json:"farm"`
+	LRUAnswers uint64        `json:"lru_answers"`
+	CacheLen   int           `json:"cache_len"`
+	QueueLen   int           `json:"queue_len"`
+	QueueCap   int           `json:"queue_cap"`
+	Workers    int           `json:"workers"`
+	Draining   bool          `json:"draining"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	resp := StatsResponse{
-		Farm:     s.farm.Counters(),
-		CacheLen: s.farm.CacheLen(),
-		QueueLen: int(s.pending.Load()),
-		QueueCap: s.queueCap,
-		Workers:  s.farm.Workers(),
-		Draining: s.draining,
+		Farm:       s.farm.Counters(),
+		LRUAnswers: s.lruAnswers.Value(),
+		CacheLen:   s.farm.CacheLen(),
+		QueueLen:   int(s.pending.Load()),
+		QueueCap:   s.queueCap,
+		Workers:    s.farm.Workers(),
+		Draining:   s.draining,
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleHealth is the liveness and readiness probe: 200 while serving, 503
-// once draining so load balancers and the cluster coordinator stop routing
-// jobs here before the listener actually goes away.
+// once draining so load balancers stop routing jobs here before the
+// listener actually goes away.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -559,14 +462,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// WriteJSON and WriteError expose the response helpers to sibling services
-// (the cluster coordinator) so every process in a deployment speaks the same
-// response and error schema.
-func WriteJSON(w http.ResponseWriter, status int, v any) { writeJSON(w, status, v) }
-
-// WriteError emits the uniform error schema (see ErrorResponse).
-func WriteError(w http.ResponseWriter, status int, code string, format string, args ...any) {
-	writeErr(w, status, code, format, args...)
 }

@@ -588,12 +588,10 @@ func TestSubmitFaultSpec(t *testing.T) {
 	}
 }
 
-// TestFigureAndStatsEndpoints exercises the synchronous figure endpoint and
-// the stats snapshot.
-func TestFigureAndStatsEndpoints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure endpoint runs full experiment matrices")
-	}
+// TestStatsEndpoint checks the stats snapshot, including the count of
+// submits answered from the farm's result cache: a finished job's resubmit
+// moves no farm counter, so only LRUAnswers records it.
+func TestStatsEndpoint(t *testing.T) {
 	eng := farm.New(farm.Options{Workers: 2})
 	defer eng.Close()
 	s := New(eng, 8)
@@ -601,37 +599,23 @@ func TestFigureAndStatsEndpoints(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain()
 
-	var res struct {
-		Title string `json:"Title"`
-		Rows  []struct {
-			Workload string `json:"Workload"`
-		} `json:"Rows"`
+	body := `{"workload": "square", "scale": 0.05, "protocol": "cpelide"}`
+	code, sr := post(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: got %d, want 202", code)
 	}
-	if code := get(t, ts, "/v1/figures/fig9?scale=0.1&workloads=square,btree", &res); code != http.StatusOK {
-		t.Fatalf("figure: got %d, want 200", code)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("figure: got %d rows, want 2", len(res.Rows))
-	}
-
-	if code := get(t, ts, "/v1/figures/nope", nil); code != http.StatusNotFound {
-		t.Fatalf("unknown figure: got %d, want 404", code)
+	waitStatus(t, ts, sr.ID, "done")
+	for i := 0; i < 2; i++ {
+		if code, _ := post(t, ts, body); code != http.StatusOK {
+			t.Fatalf("resubmit %d: got %d, want 200", i, code)
+		}
 	}
 
 	var st StatsResponse
 	if code := get(t, ts, "/v1/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats: got %d, want 200", code)
 	}
-	if st.Farm.Runs == 0 || st.Workers != 2 {
+	if st.LRUAnswers != 2 || st.Farm.Runs != 1 || st.Farm.Jobs != 1 || st.Workers != 2 || st.CacheLen != 1 {
 		t.Fatalf("stats: unexpected snapshot %+v", st)
-	}
-
-	// Same figure again: every point is already memoized.
-	before := eng.Counters().Runs
-	if code := get(t, ts, "/v1/figures/fig9?scale=0.1&workloads=square,btree", nil); code != http.StatusOK {
-		t.Fatalf("figure rerun: got %d, want 200", code)
-	}
-	if after := eng.Counters().Runs; after != before {
-		t.Fatalf("figure rerun re-simulated: %d -> %d runs", before, after)
 	}
 }

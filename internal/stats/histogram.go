@@ -167,7 +167,7 @@ type histogramJSON struct {
 }
 
 // MarshalJSON renders the histogram losslessly, so Reports survive the
-// cluster's persistent result store (internal/cluster/diskstore) and HTTP
+// server's persistent result store (internal/diskstore) and HTTP
 // serving with their latency distributions intact. Output is deterministic:
 // buckets are emitted in ascending index order.
 func (h *Histogram) MarshalJSON() ([]byte, error) {

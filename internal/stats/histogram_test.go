@@ -152,7 +152,7 @@ func TestHistogramString(t *testing.T) {
 }
 
 // TestHistogramJSONRoundTrip: a histogram must survive marshal/unmarshal
-// losslessly and re-marshal to identical bytes — the property the cluster's
+// losslessly and re-marshal to identical bytes — the property the server's
 // persistent result store relies on to serve byte-identical reports.
 func TestHistogramJSONRoundTrip(t *testing.T) {
 	h := NewHistogram("kernel duration (cycles)")
