@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint cpelint fmt bench bench-gate paper-digests loadgen server-smoke
+.PHONY: all build test race lint cpelint fmt bench bench-gate paper-digests loadgen server-smoke ci
 
 all: build test lint
 
@@ -55,3 +55,8 @@ paper-digests:
 bench-gate:
 	$(GO) run ./cmd/bench -benchtime 200ms -out /tmp/BENCH_current.json
 	$(GO) run ./cmd/bench -against /tmp/BENCH_current.json -baseline BENCH_core.json -metrics allocs,cycles,accesses -max-regress 0.10
+
+# Every CI job in the workflow's order, one PASS/FAIL line each; exits
+# nonzero if any job fails. Rewrites BENCH_cluster.json (server-smoke).
+ci:
+	@bash scripts/ci.sh

@@ -37,22 +37,21 @@ var protocolByName = map[string]cpelide.Protocol{
 // comparison columns plus the full counter sheet, so sweeps and CI can diff
 // results without scraping the text table.
 type runJSON struct {
-	Workload    string                 `json:"workload"`
-	Protocol    string                 `json:"protocol"`
-	Chiplets    int                    `json:"chiplets"`
-	Cycles      uint64                 `json:"cycles"`
-	Speedup     float64                `json:"speedup"`
-	EnergyRatio float64                `json:"energy_ratio"`
-	FlitsL1L2   uint64                 `json:"flits_l1_l2"`
-	FlitsL2L3   uint64                 `json:"flits_l2_l3"`
-	FlitsRemote uint64                 `json:"flits_remote"`
-	TotalFlits  uint64                 `json:"total_flits"`
-	StaleReads  uint64                 `json:"stale_reads"`
-	Kernels     uint64                 `json:"kernels"`
-	Accesses    uint64                 `json:"accesses"`
-	Sheet       *cpelide.Sheet         `json:"sheet"`
-	PerKernel   []cpelide.KernelStats  `json:"per_kernel,omitempty"`
-	Faults      *cpelide.FaultCounters `json:"faults,omitempty"`
+	Workload    string                `json:"workload"`
+	Protocol    string                `json:"protocol"`
+	Chiplets    int                   `json:"chiplets"`
+	Cycles      uint64                `json:"cycles"`
+	Speedup     float64               `json:"speedup"`
+	EnergyRatio float64               `json:"energy_ratio"`
+	FlitsL1L2   uint64                `json:"flits_l1_l2"`
+	FlitsL2L3   uint64                `json:"flits_l2_l3"`
+	FlitsRemote uint64                `json:"flits_remote"`
+	TotalFlits  uint64                `json:"total_flits"`
+	StaleReads  uint64                `json:"stale_reads"`
+	Kernels     uint64                `json:"kernels"`
+	Accesses    uint64                `json:"accesses"`
+	Sheet       *cpelide.Sheet        `json:"sheet"`
+	PerKernel   []cpelide.KernelStats `json:"per_kernel,omitempty"`
 }
 
 func main() {
@@ -71,20 +70,8 @@ func main() {
 		traceLimit = flag.Int("trace-limit", 0, "ring-buffer the trace to the most recent N events (0 = keep all)")
 		perKernel  = flag.Bool("per-kernel", false, "print a per-kernel cycle/counter breakdown for every run")
 		jsonOut    = flag.Bool("json", false, "emit the full comparison as JSON on stdout instead of the text table")
-		faultSpec  = flag.String("faults", "", "fault-injection spec, e.g. drop=0.1,delay=0.05,link=0.01,parity=0.002 (see package faults)")
-		faultSeed  = flag.Uint64("fault-seed", 1, "seed for the deterministic fault schedule")
 	)
 	flag.Parse()
-
-	var faultCfg *cpelide.FaultConfig
-	if *faultSpec != "" {
-		var err error
-		faultCfg, err = cpelide.ParseFaultSpec(*faultSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		faultCfg.Seed = *faultSeed
-	}
 
 	if *list {
 		for _, s := range workloads.All() {
@@ -135,7 +122,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			opt := cpelide.Options{Protocol: p, PerKernelStats: *perKernel, Faults: faultCfg}
+			opt := cpelide.Options{Protocol: p, PerKernelStats: *perKernel}
 			var rec *cpelide.TraceRecorder
 			if *tracePath != "" {
 				rec = cpelide.NewTrace(*traceLimit)
@@ -144,13 +131,6 @@ func main() {
 			rep, err := cpelide.Run(cfg, w, opt)
 			if err != nil {
 				log.Fatal(err)
-			}
-			if faultCfg != nil {
-				// Under injection the run is only meaningful if degradation
-				// preserved coherence: any stale read is a protocol bug.
-				if err := rep.CheckConsistency(); err != nil {
-					log.Fatalf("%s/%s: %v", name, rep.Protocol, err)
-				}
 			}
 			if base == nil {
 				base = rep
@@ -173,16 +153,11 @@ func main() {
 					Accesses:    rep.Accesses,
 					Sheet:       rep.Sheet,
 					PerKernel:   rep.PerKernel,
-					Faults:      rep.Faults,
 				})
 			} else {
 				fmt.Printf("%-16s %10s %14d %9.3fx %9.3f %12d %8d\n",
 					name, rep.Protocol, rep.Cycles, rep.Speedup(base),
 					cpelide.EnergyRatio(rep, base), rep.TotalFlits(), rep.StaleReads)
-				if fc := rep.Faults; fc != nil {
-					fmt.Printf("  faults: %d req-drops, %d ack-drops, %d ack-delays, %d link-windows, %d parity; watchdog: %d retries, %d degradations\n",
-						fc.ReqDrops, fc.AckDrops, fc.AckDelays, fc.LinkWindows, fc.ParityErrors, fc.Retries, fc.Degradations)
-				}
 				if *verbose {
 					fmt.Println(rep.Sheet)
 					fmt.Printf("  L2 hit rate: %.1f%%  elided acq/rel: %d/%d\n",

@@ -78,8 +78,8 @@ func main() {
 			res.Jobs, res.Completed, res.Failed, res.Lost, res.Resubmits, res.TransientRetries)
 		fmt.Printf("elapsed     %.1f ms  (%.1f jobs/s)\n", res.ElapsedMS, res.ThroughputJPS)
 		fmt.Printf("latency ms  p50 %.1f  p90 %.1f  p99 %.1f\n", res.P50MS, res.P90MS, res.P99MS)
-		fmt.Printf("cache       hit rate %.2f (lru answers %d, cache hits %d, dedup %d, store %d; runs %d)\n",
-			res.CacheHitRate, res.LRUAnswers, res.CacheHits, res.DedupWaits, res.StoreHits, res.Runs)
+		fmt.Printf("cache       hit rate %.2f (lru answers %d, joins %d, cache hits %d, dedup %d, store %d; runs %d)\n",
+			res.CacheHitRate, res.LRUAnswers, res.Joins, res.CacheHits, res.DedupWaits, res.StoreHits, res.Runs)
 	}
 	if res.Lost > 0 || res.Failed > 0 {
 		os.Exit(1)

@@ -38,7 +38,6 @@ import (
 	"repro/internal/cp"
 	"repro/internal/energy"
 	"repro/internal/event"
-	"repro/internal/faults"
 	"repro/internal/gpu"
 	"repro/internal/hip"
 	"repro/internal/hmg"
@@ -76,11 +75,6 @@ type (
 	TraceRecorder = trace.Recorder
 	// Histogram is a log2-bucketed latency histogram.
 	Histogram = stats.Histogram
-	// FaultConfig selects a deterministic fault-injection campaign; see
-	// Options.Faults.
-	FaultConfig = faults.Config
-	// FaultCounters tallies what a run's fault injector and CP watchdog did.
-	FaultCounters = faults.Counters
 	// Oracle is the golden-model consistency checker; see Options.Oracle
 	// and NewOracle.
 	Oracle = oracle.Oracle
@@ -89,11 +83,6 @@ type (
 	// OracleViolation is one detected memory-model violation.
 	OracleViolation = oracle.Violation
 )
-
-// ParseFaultSpec parses a comma-separated fault specification (the
-// cpelide-sim -faults syntax, e.g. "drop=0.1,parity=0.01") into a
-// FaultConfig; see faults.ParseSpec for the key list.
-func ParseFaultSpec(spec string) (*FaultConfig, error) { return faults.ParseSpec(spec) }
 
 // NewTrace returns a trace recorder to pass in Options.Trace. limit > 0
 // enables ring-buffer mode, retaining only the most recent limit events so
@@ -302,11 +291,8 @@ type Options struct {
 	// per dynamic kernel (plus a final end-of-program entry).
 	PerKernelStats bool
 
-	// Faults, when non-nil and enabled, injects deterministic seed-driven
-	// faults (dropped/delayed acks, link-degradation windows, coherence-table
-	// parity errors) and arms the CP watchdog's retry/degradation machinery.
-	// A nil or disabled config runs byte-identically to a build without the
-	// fault subsystem.
+	// Deprecated: ignored; there is no fault injection. The field stays
+	// because the perfbench module still calls Faults.Enabled().
 	Faults *FaultConfig
 
 	// Oracle, when non-nil, attaches the golden-model consistency checker
@@ -330,6 +316,13 @@ type Options struct {
 	// Deprecated: ignored; there is one calendar.
 	Calendar event.CalendarKind
 }
+
+// FaultConfig is the type of the deprecated Options.Faults; it configures
+// nothing.
+type FaultConfig struct{}
+
+// Enabled reports false: no fault is ever injected. It is nil-safe.
+func (*FaultConfig) Enabled() bool { return false }
 
 // Mutation selects a deliberate CP weakening for mutation testing.
 type Mutation int
@@ -420,10 +413,6 @@ type Report struct {
 	KernelDur *Histogram
 	SyncStall *Histogram
 
-	// Faults tallies the injected faults and watchdog reactions when
-	// Options.Faults was enabled (nil otherwise).
-	Faults *FaultCounters `json:",omitempty"`
-
 	// ImageHash digests the final memory image (per-line latest and
 	// committed versions). Identical workloads must produce identical
 	// hashes under every correct protocol; the crosscheck campaign compares
@@ -438,9 +427,8 @@ type Report struct {
 // CheckConsistency is the runtime consistency checker's verdict: it returns
 // an error if the run observed any stale read — a load that saw a version
 // older than the newest committed write, meaning a required synchronization
-// was elided or lost. It must return nil under every fault schedule; a
-// failure is a correctness bug in the protocol or the degradation machinery,
-// never an acceptable outcome of injected faults.
+// was elided or lost. It must return nil for every correct protocol; a
+// failure is a correctness bug in the protocol or the command processor.
 func (r *Report) CheckConsistency() error {
 	if r.StaleReads != 0 {
 		return fmt.Errorf("cpelide: consistency violated: %d stale read(s) observed (workload %s, protocol %s)",
@@ -548,11 +536,6 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 	}
 	defer m.Release()
 	m.Trace = opt.Trace
-	var injector *faults.Injector
-	if opt.Faults.Enabled() {
-		injector = faults.NewInjector(*opt.Faults, sheet, opt.Trace)
-		m.SetFaults(injector)
-	}
 	var proto coherence.Protocol
 	switch opt.Protocol {
 	case ProtocolBaseline:
@@ -639,10 +622,6 @@ func RunStreamsContext(ctx context.Context, cfg Config, specs []StreamSpec, opt 
 	if opt.Oracle != nil {
 		rep.Oracle = opt.Oracle.Summary()
 	}
-	if injector != nil {
-		c := injector.Counters()
-		rep.Faults = &c
-	}
 	for _, rec := range runner.Records {
 		rep.Accesses += rec.Result.Accesses
 		rep.KernelDur.Observe(rec.Result.Cycles)
@@ -690,13 +669,6 @@ func (p *scaledSyncProtocol) PreLaunch(l *coherence.Launch) coherence.SyncPlan {
 	return plan
 }
 
-// DegradeChiplet forwards watchdog degradation through the wrapper so a
-// wrapped stateful protocol still abandons its beliefs.
-func (p *scaledSyncProtocol) DegradeChiplet(c int) { degradeChiplet(p.Protocol, c) }
-
-// ConservativeReset forwards mid-plan interruption resets likewise.
-func (p *scaledSyncProtocol) ConservativeReset() { conservativeReset(p.Protocol) }
-
 // driverManagedProtocol charges the host round trip the driver-managed
 // alternative pays on every launch: the CP must ship scheduling decisions
 // to the driver and wait for its synchronization verdict (Section VI;
@@ -712,13 +684,6 @@ func (p *driverManagedProtocol) PreLaunch(l *coherence.Launch) coherence.SyncPla
 	plan.HostRoundTripCycles += p.cycles
 	return plan
 }
-
-// DegradeChiplet forwards watchdog degradation through the wrapper so a
-// wrapped stateful protocol still abandons its beliefs.
-func (p *driverManagedProtocol) DegradeChiplet(c int) { degradeChiplet(p.Protocol, c) }
-
-// ConservativeReset forwards mid-plan interruption resets likewise.
-func (p *driverManagedProtocol) ConservativeReset() { conservativeReset(p.Protocol) }
 
 // mutatedProtocol weakens every synchronization plan the wrapped protocol
 // produces — mutation testing for the consistency machinery. It wraps
@@ -762,23 +727,4 @@ func (p *mutatedProtocol) mutateOps(ops []coherence.SyncOp) []coherence.SyncOp {
 		out = append(out, op)
 	}
 	return out
-}
-
-// DegradeChiplet forwards watchdog degradation through the wrapper so a
-// wrapped stateful protocol still abandons its beliefs.
-func (p *mutatedProtocol) DegradeChiplet(c int) { degradeChiplet(p.Protocol, c) }
-
-// ConservativeReset forwards mid-plan interruption resets likewise.
-func (p *mutatedProtocol) ConservativeReset() { conservativeReset(p.Protocol) }
-
-func degradeChiplet(p coherence.Protocol, c int) {
-	if d, ok := p.(coherence.Degradable); ok {
-		d.DegradeChiplet(c)
-	}
-}
-
-func conservativeReset(p coherence.Protocol) {
-	if d, ok := p.(coherence.Degradable); ok {
-		d.ConservativeReset()
-	}
 }

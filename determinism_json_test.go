@@ -13,11 +13,6 @@ import (
 // simulation core free of wall-clock reads, unseeded rand, and map-order
 // leaks that would break this test.
 func TestReportJSONByteIdentical(t *testing.T) {
-	faulted, err := ParseFaultSpec("drop=0.1,delay=0.05,link=0.01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulted.Seed = 7
 	cases := []struct {
 		name string
 		opt  Options
@@ -25,7 +20,6 @@ func TestReportJSONByteIdentical(t *testing.T) {
 		{"baseline", Options{Protocol: ProtocolBaseline, PerKernelStats: true}},
 		{"cpelide", Options{Protocol: ProtocolCPElide, PerKernelStats: true}},
 		{"hmg", Options{Protocol: ProtocolHMG, PerKernelStats: true}},
-		{"cpelide-faulted", Options{Protocol: ProtocolCPElide, PerKernelStats: true, Faults: faulted}},
 	}
 	for _, c := range cases {
 		run := func() []byte {

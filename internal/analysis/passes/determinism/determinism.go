@@ -1,8 +1,8 @@
 // Package determinism implements the cpelint pass that keeps the simulation
-// core replayable: byte-identical Report.ImageHash across runs (DESIGN §11),
-// content-addressed farm cache keys (DESIGN §9), and seeded fault streams
-// (DESIGN §10) all assume that nothing in a run depends on wall-clock time,
-// an unseeded random source, or Go's randomized map iteration order.
+// core replayable: byte-identical Report.ImageHash across runs (DESIGN §11)
+// and content-addressed farm cache keys (DESIGN §9) both assume that nothing
+// in a run depends on wall-clock time, an unseeded random source, or Go's
+// randomized map iteration order.
 package determinism
 
 import (
@@ -30,7 +30,7 @@ var Analyzer = &analysis.Analyzer{
 var SimCritical = map[string]bool{
 	// The ISSUE 5 core set: the event engine and everything it drives.
 	"event": true, "gpu": true, "cp": true, "core": true, "coherence": true,
-	"hmg": true, "mem": true, "oracle": true, "gen": true, "faults": true,
+	"hmg": true, "mem": true, "oracle": true, "gen": true,
 	"noc": true, "stats": true,
 	// The rest of the result path: workload construction, machine assembly,
 	// figure harnesses, trace artifacts, and the CLI entry points that write

@@ -133,21 +133,6 @@ type Protocol interface {
 	Finalize() SyncPlan
 }
 
-// Degradable is implemented by protocols that keep synchronization state the
-// CP may have to abandon under faults: when the watchdog gives up on a
-// targeted operation (DegradeChiplet) or a run is interrupted mid-plan
-// (ConservativeReset), the tracked state is marked so conservatively that
-// every future boundary synchronizes at least as much as the baseline would.
-// Stateless protocols (Baseline, HMG's flush-free boundaries) need not
-// implement it — they have no belief to abandon.
-type Degradable interface {
-	// DegradeChiplet abandons tracked state for one chiplet after the
-	// reliable fallback (full L2 flush+invalidate) was applied to it.
-	DegradeChiplet(chiplet int)
-	// ConservativeReset abandons tracked state for every chiplet.
-	ConservativeReset()
-}
-
 // ---------------------------------------------------------------------------
 // Baseline VIPER-chiplet protocol.
 // ---------------------------------------------------------------------------

@@ -82,17 +82,7 @@ func (p *Protocol) PreLaunch(l *coherence.Launch) coherence.SyncPlan {
 		// must show the state that justified the decisions.
 		preState = p.Table.String()
 	}
-	// A detected table parity error means no tracked state can be trusted:
-	// reset first (emitting the baseline full flush+invalidate boundary) so
-	// OnKernelLaunch records this kernel's accesses into the fresh table.
-	var ops []Op
-	if m.Faults.TableParity() {
-		ops = p.Table.ParityReset()
-		m.Sheet.Inc(stats.TableParityResets)
-		ops = append(ops, p.Table.OnKernelLaunch(views)...)
-	} else {
-		ops = p.Table.OnKernelLaunch(views)
-	}
+	ops := p.Table.OnKernelLaunch(views)
 
 	plan := coherence.SyncPlan{
 		CPCycles: cfg.CPLatencyCycles() + cfg.CPElideOverheadCycles(),
@@ -234,23 +224,6 @@ func (p *Protocol) homedSubset(c int, rs mem.RangeSet) mem.RangeSet {
 		}
 	}
 	return out
-}
-
-// DegradeChiplet implements coherence.Degradable: after the CP watchdog
-// falls back to the reliable full flush+invalidate on chiplet c, the table's
-// belief about c is conservatively abandoned (all-Dirty over full extents).
-func (p *Protocol) DegradeChiplet(c int) {
-	p.Table.DegradeChiplet(c)
-	p.M.Sheet.Inc(stats.TableDegradations)
-}
-
-// ConservativeReset implements coherence.Degradable for whole-run
-// interruptions (context cancel mid-plan): every chiplet's tracked state is
-// degraded, so a hypothetical resume could only over-synchronize.
-func (p *Protocol) ConservativeReset() {
-	for c := 0; c < p.M.Cfg.NumChiplets; c++ {
-		p.DegradeChiplet(c)
-	}
 }
 
 // Finalize flushes the chiplets the table still tracks as Dirty — the only

@@ -151,8 +151,6 @@ type Table struct {
 	PeakEntries  int
 	FlushesIssue int
 	InvalsIssue  int
-	ParityResets int // parity errors that forced a full table reset
-	Degradations int // watchdog give-ups that conservatively marked a chiplet
 }
 
 // ErrNoChiplets reports a Table configured without any chiplet to track.
@@ -658,58 +656,6 @@ func (t *Table) FinalizeOps() []Op {
 		}
 	}
 	t.entries = nil
-	return ops
-}
-
-// DegradeChiplet conservatively abandons the table's belief about chiplet
-// c's L2 after the CP watchdog gave up on a targeted synchronization there:
-// the reliable fallback (a full flush+invalidate, performed by the caller)
-// leaves c's cache empty, but the launching kernel is about to refill it,
-// and the table has already recorded those fills. Every tracked row with any
-// presence on c is therefore marked Dirty over the structure's full extent —
-// the most conservative state: a future consumer forces a release of c, and
-// writes elsewhere turn it Stale so c re-acquires before reusing the data.
-// Elision quality for c degrades to baseline until the marks wash out;
-// correctness only ever gains synchronization.
-func (t *Table) DegradeChiplet(c int) {
-	if c < 0 || c >= t.cfg.Chiplets {
-		return
-	}
-	for _, e := range t.entries {
-		if e.states[c] == NotPresent {
-			continue
-		}
-		e.states[c] = Dirty
-		e.ranges[c] = mem.NewRangeSet(e.full)
-	}
-	t.Degradations++
-}
-
-// ConservativeReset abandons the table's beliefs about every chiplet, as
-// DegradeChiplet does for one. Used when a run is interrupted mid-plan (a
-// context cancel between a kernel's synchronization operations): some ops of
-// the boundary may have executed and some not, so no tracked state can be
-// trusted to mean "already synchronized".
-func (t *Table) ConservativeReset() {
-	for c := 0; c < t.cfg.Chiplets; c++ {
-		t.DegradeChiplet(c)
-	}
-}
-
-// ParityReset handles a detected SRAM parity error: no table state can be
-// trusted, so it returns exactly the baseline boundary — a full L2 flush and
-// invalidate on every chiplet — and empties the table. Call it BEFORE
-// OnKernelLaunch for the boundary so the launching kernel's accesses are
-// recorded into the fresh table.
-func (t *Table) ParityReset() []Op {
-	ops := make([]Op, 0, 2*t.cfg.Chiplets)
-	for c := 0; c < t.cfg.Chiplets; c++ {
-		ops = append(ops, Op{Chiplet: c, Flush: true}, Op{Chiplet: c})
-		t.FlushesIssue++
-		t.InvalsIssue++
-	}
-	t.entries = nil
-	t.ParityResets++
 	return ops
 }
 

@@ -146,15 +146,11 @@ func NewRunner(x *gpu.Executor, specs []StreamSpec, rc RunnerConfig) (*Runner, e
 		r.streams = append(r.streams, ss)
 		prePlace(m, spec.Workload, chs, rc.Placement)
 	}
-	// The engine clocks the recorder and the fault injector so emissions
-	// deep in the machine carry launch-boundary timestamps without any time
-	// plumbing. Both calls are nil-safe, and m.Faults is read at delivery
-	// time so an injector installed after NewRunner is still clocked.
+	// The engine clocks the recorder so emissions deep in the machine carry
+	// launch-boundary timestamps without any time plumbing. SetNow is
+	// nil-safe.
 	rec := m.Trace
-	r.Eng.OnDeliver = func(t event.Time) {
-		rec.SetNow(uint64(t))
-		m.Faults.SetNow(uint64(t))
-	}
+	r.Eng.OnDeliver = func(t event.Time) { rec.SetNow(uint64(t)) }
 	return r, nil
 }
 
@@ -285,16 +281,11 @@ func (r *Runner) fail(err error) {
 	r.Eng.Stop()
 }
 
-// cancelRun stops dispatching because Cfg.Ctx was canceled. The cancel can
-// land between a boundary's synchronization operations, so a stateful
-// protocol's tracked beliefs (some ops executed, some not) are no longer
-// trustworthy: they are conservatively abandoned so any continued use of the
-// protocol instance can only over-synchronize.
+// cancelRun stops dispatching because Cfg.Ctx was canceled. The protocol's
+// tracked state is left as it stands: a canceled run yields no report, and
+// no caller reuses its protocol.
 func (r *Runner) cancelRun() {
 	r.canceled = true
-	if d, ok := r.X.P.(coherence.Degradable); ok {
-		d.ConservativeReset()
-	}
 	r.Eng.Stop()
 }
 

@@ -68,8 +68,8 @@ type Options struct {
 	JobTimeout time.Duration
 	// Metrics, when non-nil, receives the farm's production metrics:
 	// lifecycle counters, queue-depth and cache gauges, a per-job latency
-	// histogram, and post-run roll-ups of simulation and fault-injection
-	// activity. Nil disables the instrumentation at no cost.
+	// histogram, and post-run roll-ups of simulation activity. Nil
+	// disables the instrumentation at no cost.
 	Metrics *metrics.Registry
 	// Store, when non-nil, is a persistent result store layered under the
 	// LRU: flight leaders consult it before simulating, and completed runs

@@ -9,7 +9,6 @@ import (
 
 	"repro"
 	"repro/internal/config"
-	"repro/internal/faults"
 	"repro/internal/workloads"
 )
 
@@ -120,7 +119,11 @@ type optionsKey struct {
 	SyncLatencySets     int
 	PerKernelStats      bool
 	Mutate              uint8
-	Faults              *faults.Config
+	// Faults is always nil and encodes as "Faults":null. Fault injection
+	// is retired, but every key hashed so far (the paper digests, the
+	// golden key vectors, persisted store entries) contains that null, so
+	// the field stays to keep those hashes.
+	Faults *struct{}
 }
 
 // canonOptions normalizes o into its key form. Protocol-specific knobs that
@@ -148,10 +151,6 @@ func canonOptions(o cpelide.Options) optionsKey {
 	if o.Protocol == cpelide.ProtocolHMG || o.Protocol == cpelide.ProtocolHMGWriteBack {
 		k.HMGDirLinesPerEntry = o.HMGDirLinesPerEntry
 		k.HMGDirEntries = o.HMGDirEntries
-	}
-	if o.Faults.Enabled() {
-		c := o.Faults.Canonical()
-		k.Faults = &c
 	}
 	return k
 }

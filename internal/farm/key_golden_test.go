@@ -24,7 +24,7 @@ type keyVector struct {
 }
 
 // goldenJobs spans every class of key-relevant field: protocols, protocol
-// knobs, multi-stream bindings, fusion, fault injection, and machine shape.
+// knobs, multi-stream bindings, fusion, and machine shape.
 // Adding a case here (then running `go test ./internal/farm -run Golden
 // -update`) extends the committed vector set.
 func goldenJobs() []struct {
@@ -67,15 +67,6 @@ func goldenJobs() []struct {
 			Config:   cpelide.DefaultConfig(4),
 			Options:  cpelide.Options{Protocol: cpelide.ProtocolCPElide},
 			Fusion:   &FusionSpec{MaxArgs: 2},
-		}},
-		{"faulty", Job{
-			Workload: "square",
-			Params:   workloads.Params{Scale: 0.5},
-			Config:   cpelide.DefaultConfig(4),
-			Options: cpelide.Options{
-				Protocol: cpelide.ProtocolCPElide,
-				Faults:   &cpelide.FaultConfig{AckDropRate: 0.1, Seed: 7},
-			},
 		}},
 		{"sweep-point", Job{
 			Workload: "pathfinder",

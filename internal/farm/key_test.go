@@ -53,8 +53,6 @@ func TestKeyDiscriminates(t *testing.T) {
 		"infer":         func(j *Job) { j.Options.InferAnnotations = true },
 		"sync-sets":     func(j *Job) { j.Options.SyncLatencySets = 2 },
 		"per-kernel":    func(j *Job) { j.Options.PerKernelStats = true },
-		"faults":        func(j *Job) { j.Options.Faults = &cpelide.FaultConfig{AckDropRate: 0.1} },
-		"fault-seed":    func(j *Job) { j.Options.Faults = &cpelide.FaultConfig{AckDropRate: 0.1, Seed: 7} },
 		"scale":         func(j *Job) { j.Params.Scale = 0.25 },
 		"iters":         func(j *Job) { j.Params.Iters = 3 },
 		"chiplets":      func(j *Job) { j.Config = cpelide.DefaultConfig(8) },
@@ -132,20 +130,11 @@ func TestKeyNormalizes(t *testing.T) {
 			t.Fatal("single Workload and its one-stream spelling must alias")
 		}
 	})
-	t.Run("disabled faults alias nil", func(t *testing.T) {
+	t.Run("deprecated faults ignored", func(t *testing.T) {
 		a, b := baseJob(), baseJob()
-		b.Options.Faults = &cpelide.FaultConfig{Seed: 99} // all rates zero: inert
+		b.Options.Faults = &cpelide.FaultConfig{}
 		if mustKey(t, a) != mustKey(t, b) {
-			t.Fatal("a fault config with every rate zero injects nothing; keys must match")
-		}
-	})
-	t.Run("fault defaults are canonical", func(t *testing.T) {
-		a, b := baseJob(), baseJob()
-		a.Options.Faults = &cpelide.FaultConfig{AckDropRate: 0.1}
-		b.Options.Faults = &cpelide.FaultConfig{AckDropRate: 0.1}
-		*b.Options.Faults = b.Options.Faults.Canonical()
-		if mustKey(t, a) != mustKey(t, b) {
-			t.Fatal("a fault config and its Canonical() form must alias")
+			t.Fatal("Options.Faults configures nothing; keys must match")
 		}
 	})
 	t.Run("sync sets 0 and 1 alias", func(t *testing.T) {
@@ -182,6 +171,7 @@ func TestOptionsKeyCoversOptions(t *testing.T) {
 		"Oracle":   true, // observer pointer, single-use; callers read it directly
 		"Profiler": true, // deprecated and ignored
 		"Calendar": true, // deprecated and ignored: the engine has one calendar
+		"Faults":   true, // deprecated and ignored: optionsKey.Faults is always null
 	}
 	opt := reflect.TypeOf(cpelide.Options{})
 	key := reflect.TypeOf(optionsKey{})

@@ -7,8 +7,8 @@ import (
 
 // farmMetrics is the farm's production-metrics surface: lifecycle counters
 // mirroring Counters, a per-job latency histogram, and post-run roll-ups of
-// what the simulations themselves did (kernels, accesses, stale reads, and
-// the fault injector's tallies). Everything is registered up front so the
+// what the simulations themselves did (kernels, accesses, cycles, stale
+// reads). Everything is registered up front so the
 // /metrics series set is stable from the first scrape; with a nil registry
 // every metric is a detached no-op, so instrumentation sites need no guards.
 type farmMetrics struct {
@@ -19,10 +19,6 @@ type farmMetrics struct {
 	jobUS                           *metrics.Histogram
 
 	simKernels, simAccesses, simCycles, simStale *metrics.Counter
-
-	faultReqDrops, faultAckDrops, faultAckDelays *metrics.Counter
-	faultLinkWindows, faultParity                *metrics.Counter
-	watchdogRetries, watchdogDegradations        *metrics.Counter
 }
 
 // newFarmMetrics registers the farm's series in r (nil-safe) and wires the
@@ -48,14 +44,6 @@ func newFarmMetrics(f *Farm, r *metrics.Registry) *farmMetrics {
 		simAccesses: r.Counter("sim_accesses_total", "Line-granularity accesses simulated across all completed runs."),
 		simCycles:   r.Counter("sim_cycles_total", "Simulated GPU cycles across all completed runs."),
 		simStale:    r.Counter("sim_stale_reads_total", "Functional coherence violations observed (must stay zero)."),
-
-		faultReqDrops:        r.Counter("fault_req_drops_total", "Injected synchronization-request drops."),
-		faultAckDrops:        r.Counter("fault_ack_drops_total", "Injected completion-ack drops."),
-		faultAckDelays:       r.Counter("fault_ack_delays_total", "Injected completion-ack delays."),
-		faultLinkWindows:     r.Counter("fault_link_windows_total", "Transient link-degradation windows opened."),
-		faultParity:          r.Counter("fault_parity_errors_total", "Coherence-table parity errors injected."),
-		watchdogRetries:      r.Counter("cp_watchdog_retries_total", "CP watchdog retransmissions after lost acks."),
-		watchdogDegradations: r.Counter("cp_watchdog_degradations_total", "Graceful degradations to the baseline full synchronization."),
 	}
 	r.GaugeFunc("farm_inflight_jobs", "Unresolved flights: queued or running simulations.", func() int64 {
 		f.mu.Lock()
@@ -81,13 +69,4 @@ func (m *farmMetrics) observeReport(rep *cpelide.Report) {
 	m.simAccesses.Add(rep.Accesses)
 	m.simCycles.Add(rep.Cycles)
 	m.simStale.Add(rep.StaleReads)
-	if fc := rep.Faults; fc != nil {
-		m.faultReqDrops.Add(fc.ReqDrops)
-		m.faultAckDrops.Add(fc.AckDrops)
-		m.faultAckDelays.Add(fc.AckDelays)
-		m.faultLinkWindows.Add(fc.LinkWindows)
-		m.faultParity.Add(fc.ParityErrors)
-		m.watchdogRetries.Add(fc.Retries)
-		m.watchdogDegradations.Add(fc.Degradations)
-	}
 }

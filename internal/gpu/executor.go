@@ -94,13 +94,9 @@ func (x *Executor) ExecutePlan(plan coherence.SyncPlan) uint64 {
 	for i := range perChiplet {
 		perChiplet[i] = 0
 	}
-	extraMessages := 0
 	for _, op := range plan.Ops {
-		cy, msgs := x.executeOp(op)
-		perChiplet[op.Chiplet] += cy
-		extraMessages += msgs
+		perChiplet[op.Chiplet] += x.executeOp(op)
 	}
-	plan.Messages += extraMessages
 	exposed := 0
 	for _, cy := range perChiplet {
 		if cy > exposed {
@@ -128,66 +124,22 @@ func (x *Executor) ExecutePlan(plan coherence.SyncPlan) uint64 {
 	return uint64(exposed)
 }
 
-// executeOp performs one synchronization operation under the CP watchdog and
-// returns its cycles plus any extra CP messages (each retry costs a fresh
-// request + ack pair). Without an injector this is exactly the direct cache
-// operation. With one, the operation sits in a bounded retry loop: a dropped
-// request means the local CP never acted, a dropped ack means it acted but
-// the global CP cannot know — either way the watchdog times out, backs off
-// exponentially (capped), and retransmits. After MaxAttempts the CP degrades
-// gracefully: it issues the reliable baseline fallback — a full L2
-// flush+invalidate of the chiplet — and tells the protocol to abandon its
-// tracked beliefs about that chiplet (coherence.Degradable), so correctness
-// is preserved and only elision quality is lost. The loop is bounded by
-// MaxAttempts, so every run terminates under any fault schedule.
-func (x *Executor) executeOp(op coherence.SyncOp) (cycles, extraMessages int) {
+// executeOp performs one synchronization operation's cache operation and
+// returns its cycles.
+func (x *Executor) executeOp(op coherence.SyncOp) int {
 	m := x.M
-	do := func() int {
-		var cy int
-		switch {
-		case op.Kind == coherence.Release && op.Ranges.Empty():
-			_, cy = m.FlushL2(op.Chiplet)
-		case op.Kind == coherence.Release:
-			_, cy = m.FlushL2Ranges(op.Chiplet, op.Ranges)
-		case op.Ranges.Empty():
-			_, cy = m.InvalidateL2(op.Chiplet)
-		default:
-			_, cy = m.InvalidateL2Ranges(op.Chiplet, op.Ranges)
-		}
-		return cy
+	var cy int
+	switch {
+	case op.Kind == coherence.Release && op.Ranges.Empty():
+		_, cy = m.FlushL2(op.Chiplet)
+	case op.Kind == coherence.Release:
+		_, cy = m.FlushL2Ranges(op.Chiplet, op.Ranges)
+	case op.Ranges.Empty():
+		_, cy = m.InvalidateL2(op.Chiplet)
+	default:
+		_, cy = m.InvalidateL2Ranges(op.Chiplet, op.Ranges)
 	}
-	inj := m.Faults
-	if inj == nil {
-		return do(), 0
-	}
-	timeout := inj.TimeoutCycles()
-	for attempt := 1; ; attempt++ {
-		if !inj.DropRequest(op.Chiplet) {
-			cycles += do()
-			if !inj.DropAck(op.Chiplet) {
-				cycles += inj.AckDelay(op.Chiplet)
-				return cycles, extraMessages
-			}
-		}
-		cycles += timeout // the watchdog waited this long for the lost ack
-		if attempt >= inj.MaxAttempts() {
-			// Graceful degradation: reliable full flush+invalidate, then
-			// abandon the protocol's beliefs about this chiplet.
-			_, cy := m.InvalidateL2(op.Chiplet)
-			cycles += cy
-			extraMessages += 2
-			if d, ok := x.P.(coherence.Degradable); ok {
-				d.DegradeChiplet(op.Chiplet)
-			}
-			inj.NoteDegradation(op.Chiplet)
-			return cycles, extraMessages
-		}
-		inj.NoteRetry(op.Chiplet, uint64(timeout))
-		extraMessages += 2
-		if timeout *= 2; timeout > inj.BackoffCapCycles() {
-			timeout = inj.BackoffCapCycles()
-		}
-	}
+	return cy
 }
 
 // RunKernel executes one launch: L1 boundary invalidation, the protocol's
@@ -198,9 +150,6 @@ func (x *Executor) RunKernel(l *coherence.Launch, exposeCP bool) KernelResult {
 	m := x.M
 	cfg := &m.Cfg
 	k := l.Kernel
-
-	// Kernel boundaries are where transient link-degradation windows open.
-	m.Faults.OnKernelBoundary()
 
 	// Implicit L1 synchronization at every kernel boundary, all protocols.
 	for _, c := range l.Chiplets {
@@ -292,9 +241,8 @@ func (x *Executor) RunKernel(l *coherence.Launch, exposeCP bool) KernelResult {
 			cfg.L3BWBytesCy); t > occ {
 			occ = t
 		}
-		// A degraded link divides the crossbar port's share of bandwidth.
 		if t := floor(m.Fabric.PortBytes(c)-port0,
-			cfg.LinkBytesPerCycle()/float64(cfg.NumChiplets)/m.Faults.LinkFactor()); t > occ {
+			cfg.LinkBytesPerCycle()/float64(cfg.NumChiplets)); t > occ {
 			occ = t
 		}
 		if cfg.NumGPUs > 1 {

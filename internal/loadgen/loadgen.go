@@ -118,10 +118,13 @@ type Result struct {
 
 	// Cache behavior over the campaign window, from /v1/stats deltas.
 	// LRUAnswers counts submits the server answered 200 from its result
-	// cache, which reach no farm counter; CacheHitRate is the share of the
-	// server's answers (farm jobs plus LRUAnswers) that ran nothing new.
+	// cache and Joins those it answered 200 because their job was already
+	// queued or running; neither reaches a farm counter. CacheHitRate is
+	// the share of every submit the server answered (farm jobs plus
+	// LRUAnswers plus Joins) that ran nothing new.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	LRUAnswers   uint64  `json:"lru_answers"`
+	Joins        uint64  `json:"joins"`
 	CacheHits    uint64  `json:"cache_hits"`
 	DedupWaits   uint64  `json:"dedup_waits"`
 	StoreHits    uint64  `json:"store_hits"`
@@ -283,12 +286,13 @@ func (c Campaign) Run(ctx context.Context) (*Result, error) {
 
 	if after, err := c.fetchStats(ctx); err == nil && before != nil {
 		res.LRUAnswers = after.LRUAnswers - before.LRUAnswers
+		res.Joins = after.Joins - before.Joins
 		res.CacheHits = after.Farm.CacheHits - before.Farm.CacheHits
 		res.DedupWaits = after.Farm.DedupWaits - before.Farm.DedupWaits
 		res.StoreHits = after.Farm.StoreHits - before.Farm.StoreHits
 		res.Runs = after.Farm.Runs - before.Farm.Runs
-		if answers := after.Farm.Jobs - before.Farm.Jobs + res.LRUAnswers; answers > 0 {
-			hits := res.LRUAnswers + res.CacheHits + res.DedupWaits + res.StoreHits
+		if answers := after.Farm.Jobs - before.Farm.Jobs + res.LRUAnswers + res.Joins; answers > 0 {
+			hits := res.LRUAnswers + res.Joins + res.CacheHits + res.DedupWaits + res.StoreHits
 			res.CacheHitRate = float64(hits) / float64(answers)
 		}
 	}

@@ -6,7 +6,6 @@ package machine
 
 import (
 	"repro/internal/config"
-	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/stats"
@@ -30,11 +29,6 @@ type Machine struct {
 	// with line counts here; kernel spans and audits from the layers above).
 	// Tracing never touches Sheet, so enabling it changes no counter.
 	Trace *trace.Recorder
-
-	// Faults, when non-nil, injects link and CP faults; every consulting
-	// path is a nil-safe no-op when injection is off, so a machine without
-	// an injector behaves byte-identically to one that never heard of it.
-	Faults *faults.Injector
 
 	L1 [][]*mem.Cache // [chiplet][cu]
 	L2 []*mem.Cache   // [chiplet]
@@ -136,25 +130,14 @@ func (m *Machine) L2BankBytes(bank int) uint64 { return m.l2BankBytes[bank] }
 // L3BankBytes returns cumulative service bytes at an L3 bank.
 func (m *Machine) L3BankBytes(bank int) uint64 { return m.l3BankBytes[bank] }
 
-// SetFaults installs a fault injector on the machine and its fabric.
-func (m *Machine) SetFaults(inj *faults.Injector) {
-	m.Faults = inj
-	m.Fabric.SetFaults(inj)
-}
-
 // RemoteLatency returns the cumulative latency of a request from chiplet
 // `from` served at chiplet `to`: the on-package remote latency, or the
-// inter-GPU latency when the chiplets sit on different GPU packages. An
-// active link-degradation window multiplies it.
+// inter-GPU latency when the chiplets sit on different GPU packages.
 func (m *Machine) RemoteLatency(from, to int) int {
-	lat := m.Cfg.L2RemoteLatency
 	if m.Fabric.InterGPU(from, to) {
-		lat = m.Cfg.CrossGPULatency
+		return m.Cfg.CrossGPULatency
 	}
-	if m.Faults.LinkDegraded() {
-		lat = int(float64(lat) * m.Faults.LinkFactor())
-	}
-	return lat
+	return m.Cfg.L2RemoteLatency
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/faults"
 	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -290,8 +289,8 @@ func TestReset(t *testing.T) {
 }
 
 // testResetOnAcquire covers the reuse path: a released machine that ran
-// (dirty caches, bank and fabric byte totals, placed pages, a trace and a
-// fault injector) comes back from Acquire indistinguishable from New.
+// (dirty caches, bank and fabric byte totals, placed pages, a trace) comes
+// back from Acquire indistinguishable from New.
 func testResetOnAcquire(t *testing.T) {
 	Drain()
 	t.Cleanup(Drain)
@@ -302,7 +301,6 @@ func testResetOnAcquire(t *testing.T) {
 	bounds := mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 8<<20}
 	m := must(Acquire(cfg, bounds, stats.New()))
 	m.Trace = trace.New(0)
-	m.SetFaults(faults.NewInjector(faults.Config{AckDropRate: 0.5}, m.Sheet, nil))
 	line := mem.Addr(0x1000_0000)
 	m.Home(line, 1)
 	m.L1Fill(1, 2, line, m.Mem.Store(line))
@@ -318,8 +316,8 @@ func testResetOnAcquire(t *testing.T) {
 	if r != m {
 		t.Fatal("Acquire built a new machine while an equal one was idle")
 	}
-	if r.Sheet != sheet || r.Trace != nil || r.Faults != nil {
-		t.Errorf("run-scoped state not cleared: sheet reused=%v trace=%v faults=%v", r.Sheet != sheet, r.Trace, r.Faults)
+	if r.Sheet != sheet || r.Trace != nil {
+		t.Errorf("run-scoped state not cleared: sheet reused=%v trace=%v", r.Sheet != sheet, r.Trace)
 	}
 	if r.Pages == oldPages || r.Pages.HomeIfPlaced(line) != -1 {
 		t.Error("page table recycled instead of rebuilt")

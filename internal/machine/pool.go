@@ -29,7 +29,7 @@ var leaseHook atomic.Pointer[func(m *Machine, leased bool)]
 // idle machine built for an equal configuration when there is one: the
 // cache arrays are kept and cooled with Reset's O(1) per-cache epoch bump,
 // while the memory image, page table and fabric are built afresh for
-// bounds and sheet, and Trace and Faults start cleared. A run cannot tell a
+// bounds and sheet, and Trace starts cleared. A run cannot tell a
 // reused machine from one returned by New. The page table is never
 // recycled in place because observers may hold its lookup past the run
 // (oracle.Oracle.Bind captures PageTable.HomeIfPlaced).
@@ -76,7 +76,7 @@ func takeIdle(cfg config.GPU) *Machine {
 // already idle, the oldest is dropped to make room.
 func (m *Machine) Release() {
 	m.Sheet, m.Mem, m.Pages, m.Fabric = nil, nil, nil, nil
-	m.Trace, m.Faults = nil, nil
+	m.Trace = nil
 	noteLease(m, false)
 	idle.Lock()
 	defer idle.Unlock()

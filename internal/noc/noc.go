@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/faults"
 	"repro/internal/stats"
 )
 
@@ -22,7 +21,6 @@ type Fabric struct {
 	flitSize int
 	sheet    *stats.Sheet
 	perGPU   int // chiplets per GPU package; chiplet c sits on package c/perGPU
-	faults   *faults.Injector
 
 	portBytes []uint64 // per chiplet: bytes crossing that chiplet's crossbar port
 	dramBytes []uint64 // per chiplet: bytes to/from the chiplet's HBM partition
@@ -53,10 +51,6 @@ func New(n, flitSize int, sheet *stats.Sheet, perGPU int) (*Fabric, error) {
 	}, nil
 }
 
-// SetFaults installs a fault injector so remote transfers occurring inside a
-// link-degradation window are classed separately.
-func (f *Fabric) SetFaults(inj *faults.Injector) { f.faults = inj }
-
 func (f *Fabric) flits(bytes int) uint64 {
 	return uint64((bytes + f.flitSize - 1) / f.flitSize)
 }
@@ -84,9 +78,6 @@ func (f *Fabric) L2L3(from, home, bytes int) {
 // interconnect.
 func (f *Fabric) Remote(from, to, bytes int) {
 	f.sheet.Add(stats.FlitsRemote, f.flits(bytes))
-	if f.faults.LinkDegraded() {
-		f.sheet.Add(stats.FlitsRemoteDegraded, f.flits(bytes))
-	}
 	f.portBytes[from] += uint64(bytes)
 	if to != from {
 		f.portBytes[to] += uint64(bytes)

@@ -114,11 +114,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE farm_job_duration_us histogram",
 		"farm_job_duration_us_count 1",
 		"sim_kernels_total ",
-		"fault_req_drops_total 0",
-		"cp_watchdog_degradations_total 0",
 		"server_queue_cap 8",
 		"server_queue_depth 0",
 		"server_lru_answers_total 1",
+		"server_joins_total 0",
 		`http_requests_total{code="202"} 1`,
 		"# TYPE http_request_duration_us histogram",
 	} {

@@ -55,11 +55,6 @@ type JobRequest struct {
 	DriverManaged    bool   `json:"driver_managed,omitempty"`
 	SyncLatencySets  int    `json:"sync_latency_sets,omitempty"`
 	PerKernelStats   bool   `json:"per_kernel_stats,omitempty"`
-
-	// Faults is a fault-injection spec (cpelide.ParseFaultSpec syntax,
-	// e.g. "drop=0.1,parity=0.01"); FaultSeed seeds its schedule.
-	Faults    string `json:"faults,omitempty"`
-	FaultSeed uint64 `json:"fault_seed,omitempty"`
 }
 
 func parseProtocol(s string) (cpelide.Protocol, error) {
@@ -130,14 +125,6 @@ func (r JobRequest) Job() (farm.Job, error) {
 		SyncLatencySets:     r.SyncLatencySets,
 		PerKernelStats:      r.PerKernelStats,
 	}
-	if r.Faults != "" {
-		fc, err := cpelide.ParseFaultSpec(r.Faults)
-		if err != nil {
-			return farm.Job{}, err
-		}
-		fc.Seed = r.FaultSeed
-		j.Options.Faults = fc
-	}
 	return j, nil
 }
 
@@ -154,14 +141,16 @@ const PendingRetryAfter = "0"
 
 // Server is the HTTP front of one farm. It keeps no per-job state, only a
 // count of accepted submissions still running, which bounds admission, and
-// a count of submissions answered from the farm's result cache.
+// counts of the submissions answered 200 without starting a job.
 type Server struct {
 	farm     *farm.Farm
 	queueCap int
 
 	// lruAnswers counts submits answered 200 from the farm's result cache
-	// (a finished job), which move no farm counter.
+	// (a finished job), and joins those answered 200 because their job was
+	// already queued or running. Neither moves a farm counter.
 	lruAnswers *metrics.Counter
+	joins      *metrics.Counter
 
 	// reg and log are the observability surface: a nil registry makes every
 	// metric a detached no-op and a nil logger discards, so tests that only
@@ -181,7 +170,7 @@ func New(f *farm.Farm, queueCap int) *Server {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	return &Server{farm: f, queueCap: queueCap, lruAnswers: &metrics.Counter{}}
+	return &Server{farm: f, queueCap: queueCap, lruAnswers: &metrics.Counter{}, joins: &metrics.Counter{}}
 }
 
 // Instrument attaches the observability surface: the metrics registry
@@ -193,6 +182,7 @@ func (s *Server) Instrument(reg *metrics.Registry, logger *slog.Logger) {
 	reg.GaugeFunc("server_queue_depth", "Accepted jobs not yet finished.", s.pending.Load)
 	reg.Gauge("server_queue_cap", "Accepted jobs allowed beyond the farm workers before submissions get 429.").Set(int64(s.queueCap))
 	s.lruAnswers = reg.Counter("server_lru_answers_total", "Submits answered 200 from the farm's result cache.")
+	s.joins = reg.Counter("server_joins_total", "Submits answered 200 because their job was already queued or running.")
 }
 
 // logger returns the structured logger, discarding when none was attached.
@@ -340,6 +330,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if st, ok := s.farm.Status(id); ok && st.State != "error" {
 		if st.State == "done" {
 			s.lruAnswers.Inc()
+		} else {
+			s.joins.Inc()
 		}
 		writeJSON(w, http.StatusOK, StatusResponse{ID: id, Status: st.State})
 		return
@@ -423,11 +415,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // StatsResponse is the GET /v1/stats body. QueueLen counts accepted jobs
 // not yet finished; submissions get 429 once it reaches Workers + QueueCap.
-// LRUAnswers counts submits answered from the result cache, which no farm
-// counter sees.
+// LRUAnswers counts submits answered from the result cache and Joins those
+// that found their job queued or running; no farm counter sees either.
 type StatsResponse struct {
 	Farm       farm.Counters `json:"farm"`
 	LRUAnswers uint64        `json:"lru_answers"`
+	Joins      uint64        `json:"joins"`
 	CacheLen   int           `json:"cache_len"`
 	QueueLen   int           `json:"queue_len"`
 	QueueCap   int           `json:"queue_cap"`
@@ -440,6 +433,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := StatsResponse{
 		Farm:       s.farm.Counters(),
 		LRUAnswers: s.lruAnswers.Value(),
+		Joins:      s.joins.Value(),
 		CacheLen:   s.farm.CacheLen(),
 		QueueLen:   int(s.pending.Load()),
 		QueueCap:   s.queueCap,

@@ -530,9 +530,10 @@ func TestResultHeldUntilTerminal(t *testing.T) {
 	})
 }
 
-// TestSubmitFaultSpec checks the HTTP surface accepts fault campaigns and
-// rejects malformed specs.
-func TestSubmitFaultSpec(t *testing.T) {
+// TestSubmitIgnoresUnknownFields checks that a job body's unknown keys,
+// such as the retired "faults" and "fault_seed", neither fail the submit nor
+// change the job: the body names the same job as one without them.
+func TestSubmitIgnoresUnknownFields(t *testing.T) {
 	eng := farm.New(farm.Options{Workers: 1})
 	defer eng.Close()
 	s := New(eng, 4)
@@ -540,51 +541,48 @@ func TestSubmitFaultSpec(t *testing.T) {
 	defer ts.Close()
 	defer s.Drain()
 
-	if code, _ := post(t, ts, `{"workload": "square", "faults": "wat=1"}`); code != http.StatusBadRequest {
-		t.Fatalf("bad fault spec: got %d, want 400", code)
+	code, withFaults := post(t, ts, `{"workload": "square", "scale": 0.05, "faults": "wat=1", "fault_seed": 7}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit with unknown fields: got %d, want 202", code)
 	}
+	code, plain := post(t, ts, `{"workload": "square", "scale": 0.05}`)
+	if code != http.StatusOK && code != http.StatusAccepted {
+		t.Fatalf("plain submit: got %d, want 200 or 202", code)
+	}
+	if plain.ID != withFaults.ID {
+		t.Fatalf("unknown fields changed the job: id %s vs %s", withFaults.ID, plain.ID)
+	}
+}
 
-	body := `{"workload": "square", "scale": 0.05, "protocol": "cpelide", "faults": "drop=0.05,parity=0.01", "fault_seed": 7}`
+// TestSubmitCountsJoins checks that a submit finding its job running is
+// answered 200 and counted in Joins, which no farm counter sees, and that a
+// submit after the job finished counts as an LRU answer instead.
+func TestSubmitCountsJoins(t *testing.T) {
+	_, ts, g, _ := heldStack(t, &cpelide.Report{Workload: "square", Cycles: 42})
+	body := `{"workload": "square", "scale": 0.05}`
 	code, sr := post(t, ts, body)
 	if code != http.StatusAccepted {
-		t.Fatalf("fault-campaign submit: got %d, want 202", code)
+		t.Fatalf("submit: got %d, want 202", code)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var st StatusResponse
-		get(t, ts, "/v1/jobs/"+sr.ID, &st)
-		if st.Status == "done" {
-			break
-		}
-		if st.Status == "error" {
-			t.Fatalf("fault-campaign job failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fault-campaign job stuck in %q", st.Status)
-		}
-		time.Sleep(5 * time.Millisecond)
+	waitStatus(t, ts, sr.ID, "running")
+	if code, _ := post(t, ts, body); code != http.StatusOK {
+		t.Fatalf("submit while running: got %d, want 200", code)
 	}
-	var rep struct {
-		StaleReads uint64 `json:"StaleReads"`
-		Faults     *struct {
-			ReqDrops uint64 `json:"req_drops"`
-			AckDrops uint64 `json:"ack_drops"`
-		} `json:"Faults"`
-	}
-	if code := get(t, ts, "/v1/jobs/"+sr.ID+"/result", &rep); code != http.StatusOK {
-		t.Fatalf("result: got %d, want 200", code)
-	}
-	if rep.Faults == nil {
-		t.Fatal("fault-campaign report carries no fault counters")
-	}
-	if rep.StaleReads != 0 {
-		t.Fatalf("fault campaign produced %d stale reads; degradation must preserve correctness", rep.StaleReads)
+	var st StatsResponse
+	get(t, ts, "/v1/stats", &st)
+	if st.Joins != 1 || st.LRUAnswers != 0 || st.Farm.Jobs != 1 {
+		t.Fatalf("while running: joins=%d lru_answers=%d farm jobs=%d, want 1, 0, 1",
+			st.Joins, st.LRUAnswers, st.Farm.Jobs)
 	}
 
-	// A different seed is a different job (content-addressed).
-	code, sr2 := post(t, ts, `{"workload": "square", "scale": 0.05, "protocol": "cpelide", "faults": "drop=0.05,parity=0.01", "fault_seed": 8}`)
-	if code != http.StatusAccepted || sr2.ID == sr.ID {
-		t.Fatalf("distinct fault seed: got %d id=%s, want 202 with a fresh id", code, sr2.ID)
+	g.open()
+	waitStatus(t, ts, sr.ID, "done")
+	if code, _ := post(t, ts, body); code != http.StatusOK {
+		t.Fatalf("submit after done: got %d, want 200", code)
+	}
+	get(t, ts, "/v1/stats", &st)
+	if st.Joins != 1 || st.LRUAnswers != 1 {
+		t.Fatalf("after done: joins=%d lru_answers=%d, want 1, 1", st.Joins, st.LRUAnswers)
 	}
 }
 

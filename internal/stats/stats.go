@@ -64,22 +64,6 @@ const (
 	DirEvictions
 	DirInvals
 
-	// Fault-injection and CP-watchdog counters (internal/faults). Additive
-	// per-run tallies of what the injector fired and how the watchdog
-	// reacted.
-	FaultReqDrops
-	FaultAckDrops
-	FaultAckDelays
-	FaultDelayCycles
-	FaultLinkWindows
-	FaultTableParity
-	WatchdogRetries
-	WatchdogBackoffCycles
-	WatchdogDegradations
-	TableParityResets
-	TableDegradations
-	FlitsRemoteDegraded
-
 	// Timing counters.
 	TotalCycles
 	ComputeCycles
@@ -129,19 +113,6 @@ var counterNames = [numCounters]string{
 	TablePeakUse:    "cp.table_peak_entries",
 	DirEvictions:    "hmg.directory_evictions",
 	DirInvals:       "hmg.directory_invalidations",
-
-	FaultReqDrops:         "faults.req_drops",
-	FaultAckDrops:         "faults.ack_drops",
-	FaultAckDelays:        "faults.ack_delays",
-	FaultDelayCycles:      "faults.ack_delay_cycles",
-	FaultLinkWindows:      "faults.link_windows",
-	FaultTableParity:      "faults.table_parity",
-	WatchdogRetries:       "cp.watchdog_retries",
-	WatchdogBackoffCycles: "cp.watchdog_backoff_cycles",
-	WatchdogDegradations:  "cp.watchdog_degradations",
-	TableParityResets:     "cp.table_parity_resets",
-	TableDegradations:     "cp.table_degradations",
-	FlitsRemoteDegraded:   "noc.flits.remote_degraded",
 
 	TotalCycles:   "time.total_cycles",
 	ComputeCycles: "time.compute_cycles",

@@ -66,7 +66,6 @@ func (r *Recorder) WriteChromeJSON(w io.Writer) error {
 	streams := map[int32]bool{}
 	chiplets := map[int32]bool{}
 	workers := map[int32]bool{}
-	haveFaults := false
 	for _, e := range events {
 		switch e.Kind {
 		case KindKernel, KindXfer:
@@ -75,8 +74,6 @@ func (r *Recorder) WriteChromeJSON(w io.Writer) error {
 			chiplets[e.Chiplet] = true
 		case KindJob:
 			workers[e.Chiplet] = true
-		case KindFault:
-			haveFaults = true
 		case KindPlan, KindOracle:
 			// Rendered on fixed CP tracks; no per-event metadata to collect.
 		}
@@ -88,9 +85,6 @@ func (r *Recorder) WriteChromeJSON(w io.Writer) error {
 		meta(pidChiplets, int(c), "thread_name", fmt.Sprintf("chiplet %d", c))
 	}
 	meta(pidCP, 0, "thread_name", "sync plans")
-	if haveFaults {
-		meta(pidCP, 1, "thread_name", "faults")
-	}
 	if len(workers) > 0 {
 		meta(pidFarm, 0, "process_name", "experiment farm")
 		for _, w := range sortedKeys(workers) {
@@ -143,12 +137,6 @@ func (r *Recorder) WriteChromeJSON(w io.Writer) error {
 				Name: "remote flits", Cat: "noc", Ph: "C",
 				Ts: e.Ts, Pid: pidStreams, Tid: int(e.Stream),
 				Args: map[string]any{"flits": e.Lines},
-			})
-		case KindFault:
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: e.Name, Cat: "fault", Ph: "i", S: "t",
-				Ts: e.Ts, Pid: pidCP, Tid: 1,
-				Args: map[string]any{"chiplet": e.Chiplet, "cycles": e.Cycles},
 			})
 		case KindJob:
 			// Split the record into its queue-wait and execution phases so

@@ -36,10 +36,6 @@ const (
 	// started, so Perfetto shows farm occupancy alongside simulation
 	// events on its own process row.
 	KindJob
-	// KindFault is one injected fault or watchdog reaction (drop, delay,
-	// link-degradation window, table parity error, retry, degradation),
-	// recorded by the fault injector at the simulation clock where it fired.
-	KindFault
 	// KindOracle is one memory-model violation flagged by the golden-model
 	// consistency oracle (internal/oracle): a load that could legally have
 	// observed a stale value given the synchronization the CP issued.
@@ -58,8 +54,6 @@ func (k Kind) String() string {
 		return "xfer"
 	case KindJob:
 		return "job"
-	case KindFault:
-		return "fault"
 	case KindOracle:
 		return "oracle"
 	}
@@ -95,9 +89,6 @@ func (k OpKind) String() string {
 //	KindJob:    Chiplet = farm worker (-1 for cache hits); Name is the job
 //	            label with its terminal state; Ts = enqueue time (wall us),
 //	            Ts+Dur = completion, Cycles = absolute execution start.
-//	KindFault:  Chiplet = affected chiplet (-1 = machine-wide); Name is the
-//	            fault kind; Ts = injection clock; Cycles = magnitude (delay
-//	            or window length in cycles, 0 for drops and parity errors).
 type Event struct {
 	Kind    Kind
 	Op      OpKind
@@ -261,20 +252,6 @@ func (r *Recorder) Job(worker int, name string, queued, start, end uint64) {
 	r.push(Event{
 		Kind: KindJob, Chiplet: int32(worker), Name: name,
 		Ts: queued, Dur: end - queued, Cycles: start,
-	})
-}
-
-// Fault records one injected fault or watchdog reaction at the current
-// clock: name identifies the fault kind (req-drop, ack-drop, ack-delay,
-// link-degrade, table-parity, watchdog-retry, watchdog-degrade), chiplet the
-// affected chiplet (-1 for machine-wide faults), and cycles its magnitude.
-func (r *Recorder) Fault(chiplet int, name string, cycles uint64) {
-	if r == nil {
-		return
-	}
-	r.push(Event{
-		Kind: KindFault, Chiplet: int32(chiplet), Name: name,
-		Ts: r.now, Cycles: cycles,
 	})
 }
 

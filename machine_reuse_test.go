@@ -17,8 +17,8 @@ import (
 // which hands back an idle machine of the same configuration with its
 // cache arrays cooled by an epoch bump. These tests lock that a run on a
 // reused machine reports exactly what the same run on a fresh machine.New
-// does, whatever ran on the machine before — other protocols, fault
-// campaigns, oracles, or a run abandoned mid-flight with dirty caches.
+// does, whatever ran on the machine before — other protocols, per-kernel
+// runs, oracles, or a run abandoned mid-flight with dirty caches.
 
 // reuseCase is one run of the reuse matrix. specs and opt build fresh
 // inputs per call: oracles are single-use.
@@ -32,10 +32,6 @@ type reuseCase struct {
 func reuseCases() []reuseCase {
 	bigL2 := DefaultConfig(4)
 	bigL2.L2SizeBytes = 4 << 20
-	faultSpec, err := ParseFaultSpec("drop=0.1,delay=0.05,link=0.01,parity=0.002")
-	if err != nil {
-		panic(err)
-	}
 	single := func(name string, cfg Config) func(t *testing.T) []StreamSpec {
 		return func(t *testing.T) []StreamSpec {
 			t.Helper()
@@ -52,8 +48,8 @@ func reuseCases() []reuseCase {
 		}
 	}
 	plain := func(p Protocol) func() Options { return func() Options { return Options{Protocol: p} } }
-	faulty := func(p Protocol) func() Options {
-		return func() Options { return Options{Protocol: p, Faults: faultSpec, PerKernelStats: true} }
+	perKernel := func(p Protocol) func() Options {
+		return func() Options { return Options{Protocol: p, PerKernelStats: true} }
 	}
 	checked := func(p Protocol) func() Options {
 		return func() Options { return Options{Protocol: p, Oracle: NewOracle(p)} }
@@ -61,10 +57,10 @@ func reuseCases() []reuseCase {
 	return []reuseCase{
 		{"4c/square/CPElide", DefaultConfig(4), single("square", DefaultConfig(4)), plain(ProtocolCPElide)},
 		{"1c/square/Baseline", DefaultConfig(1), single("square", DefaultConfig(1)), plain(ProtocolBaseline)},
-		{"4c-L2x0.5/babelstream/HMG", bigL2, single("babelstream", bigL2), faulty(ProtocolHMG)},
-		{"7c/babelstream/CPElide+faults", DefaultConfig(7), single("babelstream", DefaultConfig(7)), faulty(ProtocolCPElide)},
+		{"4c-L2x0.5/babelstream/HMG", bigL2, single("babelstream", bigL2), perKernel(ProtocolHMG)},
+		{"7c/babelstream/CPElide+perkernel", DefaultConfig(7), single("babelstream", DefaultConfig(7)), perKernel(ProtocolCPElide)},
 		{"2c/square/HMG+oracle", DefaultConfig(2), single("square", DefaultConfig(2)), checked(ProtocolHMG)},
-		{"4c/dag3/Baseline+faults", DefaultConfig(4), dag(3), faulty(ProtocolBaseline)},
+		{"4c/dag3/Baseline+perkernel", DefaultConfig(4), dag(3), perKernel(ProtocolBaseline)},
 		{"4c/dag71/CPElide+oracle", DefaultConfig(4), dag(71), checked(ProtocolCPElide)},
 		{"7c/square/Baseline+oracle", DefaultConfig(7), single("square", DefaultConfig(7)), checked(ProtocolBaseline)},
 		{"1c/babelstream/HMG", DefaultConfig(1), single("babelstream", DefaultConfig(1)), plain(ProtocolHMG)},
@@ -167,7 +163,7 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestMachineReuseEquivalence interleaves runs across geometries (1, 2, 4
-// and 7 chiplets, and a non-default L2), protocols, fault campaigns and
+// and 7 chiplets, and a non-default L2), protocols, per-kernel runs and
 // oracles, twice over, plus a canceled run whose dirty machine goes back to
 // the pool; every report must be byte-identical to the fresh-machine run.
 func TestMachineReuseEquivalence(t *testing.T) {

@@ -7,7 +7,8 @@
 #      SIGTERM drains and exits 0.
 #   2. One-node cold: a 200-job loadgen campaign (100 distinct bodies) over
 #      a fresh store completes 200/200 (loadgen exits nonzero on any lost or
-#      failed job), then the server drains on SIGTERM.
+#      failed job), then the server drains on SIGTERM. Runs, farm hits, LRU
+#      answers and joins add up to every submit.
 #   3. Restart from store: a fresh server over the same store replays the
 #      campaign 200/200 with zero simulations, every submit answered from
 #      the LRU it warm-started from disk (lru_answers > 0).
@@ -92,6 +93,13 @@ echo "api checks passed; drained"
 start_server 8322 -store "$STORE"
 campaign "$SCRATCH/one_node.json"
 drain
+# Every submit the server answered is one of: a simulation, a farm cache,
+# store or dedup hit, an LRU answer, or a join onto a queued/running job.
+ANSWERED=$(jq '.runs + .store_hits + .cache_hits + .dedup_waits + .lru_answers + .joins' "$SCRATCH/one_node.json")
+SUBMITS=$(jq '.jobs + .resubmits' "$SCRATCH/one_node.json")
+[ "$ANSWERED" = "$SUBMITS" ] || {
+  echo "cold campaign accounts for $ANSWERED of $SUBMITS submits" >&2; exit 1; }
+echo "cold campaign: all $SUBMITS submits accounted for"
 
 # --- phase 3: a fresh server over the same store -----------------------------
 start_server 8323 -store "$STORE"
