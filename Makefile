@@ -16,8 +16,9 @@ test:
 race:
 	$(GO) test -race -count=1 -timeout 15m ./internal/farm/... ./internal/event/... ./internal/server/...
 
-# lint = the repo's static gates: the cpelint pass suite (DESIGN §12), go
-# vet, and gofmt. staticcheck runs in CI where it can be installed.
+# lint = the repo's static gates: cpelint's three passes (DESIGN §12), go
+# vet, and gofmt. staticcheck needs the network to install, so only CI runs
+# it (pinned to v0.5.1 there).
 lint: cpelint
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

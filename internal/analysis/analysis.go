@@ -18,33 +18,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 	"strings"
 )
 
-// PassNames lists the analyzers of the cpelint suite, in report order. The
-// ignores pass validates //cpelint:ignore directives against this list, and
-// the suite registry asserts it stays in sync.
-var PassNames = []string{
-	"determinism", "eventsafety", "errpanic",
-	"noalloc", "unitsafety", "ctxflow", "exhaustive",
-	"ignores",
-}
-
-// KnownPass reports whether name is an analyzer of the suite.
-func KnownPass(name string) bool {
-	for _, n := range PassNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // An Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //cpelint:ignore directives. It must appear in PassNames.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 
 	// Doc is a one-paragraph description of the invariant enforced.
@@ -63,11 +42,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// GoVersion is the effective language version of the unit
-	// ("go1.22"); passes that enforce pre-1.22 semantics (loop-variable
-	// capture) consult it.
-	GoVersion string
 
 	// Report delivers one finding to the driver.
 	Report func(Diagnostic)
@@ -97,12 +71,9 @@ func (d UnitDiagnostic) String() string {
 	return d.Pos.String() + ": [" + d.Analyzer + "] " + d.Message
 }
 
-// RunUnit applies every analyzer to one compilation unit, then applies the
-// unit's //cpelint:ignore directives: suppressed findings are dropped, and
-// every well-formed directive that suppressed nothing becomes an "ignores"
-// diagnostic itself (suppression hygiene — stale escape hatches rot into
-// lies about what the code does).
-func RunUnit(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, goVersion string, analyzers []*Analyzer) ([]UnitDiagnostic, error) {
+// RunUnit applies every analyzer to one compilation unit and returns their
+// findings.
+func RunUnit(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]UnitDiagnostic, error) {
 	var diags []UnitDiagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -111,7 +82,6 @@ func RunUnit(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			GoVersion: goVersion,
 		}
 		name := a.Name
 		pass.Report = func(d Diagnostic) {
@@ -125,16 +95,7 @@ func RunUnit(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 			return nil, err
 		}
 	}
-	ignores := CollectIgnores(fset, files)
-	kept, unused := ApplyIgnores(diags, ignores)
-	for _, ig := range unused {
-		kept = append(kept, UnitDiagnostic{
-			Analyzer: "ignores",
-			Pos:      fset.Position(ig.Pos),
-			Message:  "unused cpelint:ignore directive for pass " + strconv.Quote(ig.Pass) + ": nothing suppressed on this or the next line",
-		})
-	}
-	return kept, nil
+	return diags, nil
 }
 
 // IsTestFile reports whether the file containing pos is a _test.go file.
@@ -186,27 +147,4 @@ func IsEngineMethod(fn *types.Func, name string) bool {
 	}
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == "Engine"
-}
-
-// LangVersionBefore reports whether goVersion (a "go1.N" string) is known to
-// be strictly before "go1.minor". Unknown or unparsable versions report
-// false: the driver feeds the module's declared language version, and when
-// in doubt the passes assume current semantics rather than invent findings.
-func LangVersionBefore(goVersion string, minor int) bool {
-	s, ok := strings.CutPrefix(goVersion, "go1.")
-	if !ok {
-		return false
-	}
-	// Trim patch releases and release candidates: "go1.21.3", "go1.21rc1".
-	for i := 0; i < len(s); i++ {
-		if s[i] < '0' || s[i] > '9' {
-			s = s[:i]
-			break
-		}
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return false
-	}
-	return n < minor
 }

@@ -16,9 +16,7 @@
 // Each backquoted regexp must match the message of one diagnostic reported
 // on that line. Diagnostics with no matching expectation, and expectations
 // with no matching diagnostic, fail the test. Fixtures run through
-// analysis.RunUnit, so //cpelint:ignore directives suppress findings exactly
-// as they do under the real driver, and unused directives surface as
-// "ignores" diagnostics.
+// analysis.RunUnit, the same path cmd/cpelint takes.
 package analysistest
 
 import (
@@ -39,28 +37,21 @@ import (
 	"repro/internal/analysis"
 )
 
-// DefaultVersion is the language version fixtures are checked under unless
-// RunVersion overrides it. It matches the module's declared version.
-const DefaultVersion = "go1.22"
+// goVersion is the language version fixtures are checked under: the
+// module's declared version.
+const goVersion = "go1.22"
 
 // Run loads the fixture package at <testdata>/src/<pkgpath>, applies the
 // analyzers, and compares diagnostics against the fixture's expectations.
 func Run(t *testing.T, testdata, pkgpath string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	RunVersion(t, testdata, pkgpath, DefaultVersion, analyzers...)
-}
-
-// RunVersion is Run under an explicit language version, for passes whose
-// behavior is version-dependent (pre-Go-1.22 loop-variable capture).
-func RunVersion(t *testing.T, testdata, pkgpath, goVersion string, analyzers ...*analysis.Analyzer) {
-	t.Helper()
 	loaderMu.Lock()
-	u, err := loadFixture(testdata, pkgpath, goVersion)
+	u, err := loadFixture(testdata, pkgpath)
 	loaderMu.Unlock()
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgpath, err)
 	}
-	diags, err := analysis.RunUnit(u.fset, u.files, u.pkg, u.info, goVersion, analyzers)
+	diags, err := analysis.RunUnit(u.fset, u.files, u.pkg, u.info, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", pkgpath, err)
 	}
@@ -102,7 +93,7 @@ func (im *fixtureImporter) Import(path string) (*types.Package, error) {
 		if p, ok := depCache[dir]; ok {
 			return p, nil
 		}
-		u, err := typecheck(im.srcRoot, dir, path, DefaultVersion, false)
+		u, err := typecheck(im.srcRoot, dir, path, false)
 		if err != nil {
 			return nil, err
 		}
@@ -113,18 +104,18 @@ func (im *fixtureImporter) Import(path string) (*types.Package, error) {
 	return stdImp.Import(path)
 }
 
-func loadFixture(testdata, pkgpath, goVersion string) (*fixtureUnit, error) {
+func loadFixture(testdata, pkgpath string) (*fixtureUnit, error) {
 	src, err := filepath.Abs(filepath.Join(testdata, "src"))
 	if err != nil {
 		return nil, err
 	}
-	return typecheck(src, filepath.Join(src, filepath.FromSlash(pkgpath)), pkgpath, goVersion, true)
+	return typecheck(src, filepath.Join(src, filepath.FromSlash(pkgpath)), pkgpath, true)
 }
 
 // typecheck parses and type-checks one fixture directory as a package.
 // Dependency stubs are loaded without their _test.go files; the unit under
 // test keeps them, since the test-file exemptions are themselves under test.
-func typecheck(srcRoot, dir, pkgpath, goVersion string, withTests bool) (*fixtureUnit, error) {
+func typecheck(srcRoot, dir, pkgpath string, withTests bool) (*fixtureUnit, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err

@@ -32,12 +32,10 @@ import (
 // A Unit is one type-checked compilation unit ready for analysis.
 type Unit struct {
 	ImportPath string // as listed, possibly "p [p.test]"
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
-	GoVersion  string // language version, "go1.22"
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -203,11 +201,9 @@ func check(fset *token.FileSet, p *listPkg, exports map[string]string) (*Unit, e
 	}
 	return &Unit{
 		ImportPath: p.ImportPath,
-		Dir:        p.Dir,
 		Fset:       fset,
 		Files:      files,
 		Pkg:        pkg,
 		Info:       info,
-		GoVersion:  goVersion,
 	}, nil
 }

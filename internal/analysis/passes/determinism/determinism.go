@@ -191,10 +191,9 @@ func checkOrderedCall(pass *analysis.Pass, rng *ast.RangeStmt, call *ast.CallExp
 		pass.Reportf(call.Pos(),
 			"%s.%s inside map iteration feeds bytes in Go's randomized map order (ordered artifacts and hashes — ImageHash, farm cache keys — must not depend on it); iterate sorted keys instead",
 			recvTypeName(sig), fn.Name())
-	case analysis.IsEngineMethod(fn, "Schedule") || analysis.IsEngineMethod(fn, "ScheduleAfter"):
+	case analysis.IsEngineMethod(fn, "Schedule"):
 		pass.Reportf(call.Pos(),
-			"event.Engine.%s inside map iteration: same-cycle events tie-break by insertion order, so scheduling from a map range makes delivery order run-dependent; iterate sorted keys instead",
-			fn.Name())
+			"event.Engine.Schedule inside map iteration: same-cycle events tie-break by insertion order, so scheduling from a map range makes delivery order run-dependent; iterate sorted keys instead")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/passes/determinism"
-	"repro/internal/analysis/passes/ignores"
 )
 
 func TestSimCriticalPackage(t *testing.T) {
@@ -14,8 +13,4 @@ func TestSimCriticalPackage(t *testing.T) {
 
 func TestNonCriticalPackageExempt(t *testing.T) {
 	analysistest.Run(t, "testdata", "notsim", determinism.Analyzer)
-}
-
-func TestIgnoreDirectiveSuppresses(t *testing.T) {
-	analysistest.Run(t, "testdata", "gen", determinism.Analyzer, ignores.Analyzer)
 }

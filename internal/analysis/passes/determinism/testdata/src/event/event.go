@@ -28,6 +28,3 @@ type Engine struct{}
 
 // Schedule enqueues h at absolute time t.
 func (e *Engine) Schedule(t Time, h Handler, payload any) error { return nil }
-
-// ScheduleAfter enqueues h delta cycles from now.
-func (e *Engine) ScheduleAfter(delta Time, h Handler, payload any) error { return nil }

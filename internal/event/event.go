@@ -78,9 +78,8 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // Schedule enqueues an event for handler h at absolute time t with the given
 // payload. Scheduling in the past (t < Now) returns ErrPastEvent and enqueues
 // nothing: it indicates a causality bug in the caller, which should stop the
-// simulation and surface the error.
-//
-//cpelide:noalloc queue growth is baselined below; steady state reuses its backing array
+// simulation and surface the error. In steady state it allocates nothing:
+// the queue reuses its backing array.
 func (e *Engine) Schedule(t Time, h Handler, payload any) error {
 	if t < e.now {
 		return ErrPastEvent
@@ -91,19 +90,12 @@ func (e *Engine) Schedule(t Time, h Handler, payload any) error {
 	for i > 0 && e.queue[i-1].When > t {
 		i--
 	}
-	//cpelint:ignore noalloc queue grows to the pending high-water mark, then stabilizes
+	// The queue grows to the pending high-water mark, then stabilizes.
 	e.queue = append(e.queue, Event{})
 	copy(e.queue[i+1:], e.queue[i:])
 	e.queue[i] = Event{When: t, Handler: h, Payload: payload, seq: e.nextSeq}
 	e.nextSeq++
 	return nil
-}
-
-// ScheduleAfter enqueues an event delta cycles after the current time.
-//
-//cpelide:noalloc
-func (e *Engine) ScheduleAfter(delta Time, h Handler, payload any) error {
-	return e.Schedule(e.now+delta, h, payload)
 }
 
 // Stop makes Run return after the current event's handler completes.

@@ -48,7 +48,7 @@ func TestEngineCascade(t *testing.T) {
 	h = func(ev Event) {
 		count++
 		if count < 5 {
-			e.ScheduleAfter(7, h, nil)
+			e.Schedule(e.Now()+7, h, nil)
 		}
 	}
 	e.Schedule(0, h, nil)
@@ -78,8 +78,8 @@ func TestEnginePastScheduleError(t *testing.T) {
 		if err := e.Schedule(5, HandlerFunc(func(Event) { delivered = true }), nil); !errors.Is(err, ErrPastEvent) {
 			t.Errorf("Schedule(past) = %v, want ErrPastEvent", err)
 		}
-		if err := e.ScheduleAfter(1, HandlerFunc(func(Event) {}), nil); err != nil {
-			t.Errorf("ScheduleAfter(+1) = %v, want nil", err)
+		if err := e.Schedule(e.Now()+1, HandlerFunc(func(Event) {}), nil); err != nil {
+			t.Errorf("Schedule(now+1) = %v, want nil", err)
 		}
 	}), nil)
 	e.Run()

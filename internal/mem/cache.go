@@ -73,7 +73,6 @@ const dirtyBit = 1
 // index. At 64 B lines that is 128 GiB of simulated address space.
 const MaxLines = 1 << 31
 
-//cpelide:noalloc
 func (w way) dirty() bool { return w.key&dirtyBit != 0 }
 
 // setRec records a set's valid ways: ways[0:n) when epoch equals the
@@ -185,15 +184,11 @@ func (c *Cache) ValidLines() int { return c.validLines }
 func (c *Cache) DirtyLines() int { return c.dirtyLines }
 
 // lineOf rebuilds the line address a way holds.
-//
-//cpelide:noalloc
 func (c *Cache) lineOf(w way) Addr {
 	return Addr(w.key>>1) << c.lineShift
 }
 
 // valid returns the valid ways of set si, in LRU order.
-//
-//cpelide:noalloc
 func (c *Cache) valid(si uint64) []way {
 	base := si * uint64(c.assoc)
 	if r := c.sets[si]; r.epoch == c.epoch {
@@ -204,8 +199,6 @@ func (c *Cache) valid(si uint64) []way {
 
 // lookup returns the valid ways of the set holding line, the set index for
 // callers that also maintain the dirty bitmap, and line's clean key.
-//
-//cpelide:noalloc
 func (c *Cache) lookup(line Addr) ([]way, uint64, uint32) {
 	idx := uint64(line) >> c.lineShift
 	var si uint64
@@ -217,14 +210,11 @@ func (c *Cache) lookup(line Addr) ([]way, uint64, uint32) {
 	return c.valid(si), si, uint32(idx) << 1
 }
 
-//cpelide:noalloc
 func (c *Cache) markDirtySet(si uint64) {
 	c.dirtySets[si>>6] |= 1 << (si & 63)
 }
 
 // moveToFront promotes ways[i] to MRU position.
-//
-//cpelide:noalloc
 func moveToFront(ways []way, i int) {
 	if i == 0 {
 		return
@@ -236,8 +226,6 @@ func moveToFront(ways []way, i int) {
 
 // drop removes ways[i] from set si's valid prefix ways, shifting the later
 // ways down one slot so the survivors keep their LRU order.
-//
-//cpelide:noalloc
 func (c *Cache) drop(si uint64, ways []way, i int) {
 	if ways[i].dirty() {
 		c.dirtyLines--
@@ -249,8 +237,6 @@ func (c *Cache) drop(si uint64, ways []way, i int) {
 
 // Read looks up line. On a hit it returns the cached version, promotes the
 // line to MRU, and reports hit=true. It never allocates.
-//
-//cpelide:noalloc
 func (c *Cache) Read(line Addr) (ver uint32, hit bool) {
 	ways, _, key := c.lookup(line)
 	for i := range ways {
@@ -268,8 +254,6 @@ func (c *Cache) Read(line Addr) (ver uint32, hit bool) {
 // with FillMRU once it knows the line's version. The miss path repeats
 // Fill's instead of sharing a helper with it: the extra call on every miss
 // measured about 4% of a serial run's time.
-//
-//cpelide:noalloc
 func (c *Cache) ReadFill(line Addr) (ver uint32, hit bool, ev EvictInfo) {
 	ways, si, key := c.lookup(line)
 	for i := range ways {
@@ -299,8 +283,6 @@ func (c *Cache) ReadFill(line Addr) (ver uint32, hit bool, ev EvictInfo) {
 // there without probing the rest of the set. Otherwise it falls back to Fill.
 // A line the fallback evicts is dropped, so FillMRU suits caches that never
 // hold dirty lines.
-//
-//cpelide:noalloc
 func (c *Cache) FillMRU(line Addr, ver uint32) {
 	if ways, _, key := c.lookup(line); len(ways) != 0 && ways[0].key == key {
 		ways[0].ver = ver
@@ -310,8 +292,6 @@ func (c *Cache) FillMRU(line Addr, ver uint32) {
 }
 
 // Peek reports whether line is cached, without disturbing LRU order.
-//
-//cpelide:noalloc
 func (c *Cache) Peek(line Addr) (ver uint32, dirty, hit bool) {
 	ways, _, key := c.lookup(line)
 	for i := range ways {
@@ -326,8 +306,6 @@ func (c *Cache) Peek(line Addr) (ver uint32, dirty, hit bool) {
 // (write-back semantics), and reports whether the line was present. On a
 // miss it does nothing; the caller decides whether to write-allocate via
 // Fill.
-//
-//cpelide:noalloc
 func (c *Cache) Write(line Addr, ver uint32) bool {
 	ways, si, key := c.lookup(line)
 	for i := range ways {
@@ -347,8 +325,6 @@ func (c *Cache) Write(line Addr, ver uint32) bool {
 // UpdateClean refreshes line's version without marking it dirty, modeling a
 // write-through store updating a cached copy whose data has already been
 // committed below. It reports whether the line was present.
-//
-//cpelide:noalloc
 func (c *Cache) UpdateClean(line Addr, ver uint32) bool {
 	ways, _, key := c.lookup(line)
 	for i := range ways {
@@ -367,8 +343,6 @@ func (c *Cache) UpdateClean(line Addr, ver uint32) bool {
 // Fill installs line with the given version and dirty state, evicting the
 // LRU way if the set is full. Filling a line already present updates it in
 // place instead.
-//
-//cpelide:noalloc
 func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
 	ways, si, key := c.lookup(line)
 	w := way{key: key, ver: ver}
@@ -414,8 +388,6 @@ func (c *Cache) Fill(line Addr, ver uint32, dirty bool) EvictInfo {
 
 // Invalidate drops line if present and reports whether it was cached and
 // whether it was dirty (the dirty data is discarded).
-//
-//cpelide:noalloc
 func (c *Cache) Invalidate(line Addr) (wasDirty, wasPresent bool) {
 	ways, si, key := c.lookup(line)
 	for i := range ways {
@@ -433,8 +405,6 @@ func (c *Cache) Invalidate(line Addr) (wasDirty, wasPresent bool) {
 // The work is O(1): validity is epoch-based, so bumping the epoch empties
 // every set at once (the per-set records are physically cleared only when
 // the 16-bit epoch wraps).
-//
-//cpelide:noalloc
 func (c *Cache) InvalidateAll() int {
 	n := c.validLines
 	if c.epoch == ^uint16(0) {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -369,4 +370,32 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
+}
+
+func TestNewCacheRejectsBadGeometry(t *testing.T) {
+	cases := []struct {
+		name                         string
+		count, size, assoc, lineSize int
+	}{
+		{"zero size", 1, 0, 4, 64},
+		{"negative assoc", 1, 4096, -1, 64},
+		{"zero line size", 1, 4096, 4, 0},
+		{"assoc past 16 bits", 1, 1 << 16 * 64, 1 << 16, 64},
+		{"size not a multiple of assoc*lineSize", 1, 1000, 4, 64},
+		{"line size not a power of two", 1, 4 * 48 * 2, 4, 48},
+		{"zero array count", 0, 4096, 4, 64},
+		{"negative array count", -1, 4096, 4, 64},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.count == 1 {
+				if c, err := NewCache("bad", tc.size, tc.assoc, tc.lineSize); !errors.Is(err, ErrGeometry) || c != nil {
+					t.Errorf("NewCache = %v, %v; want nil, ErrGeometry", c, err)
+				}
+			}
+			if cs, err := NewCacheArray("bad", tc.count, tc.size, tc.assoc, tc.lineSize); !errors.Is(err, ErrGeometry) || cs != nil {
+				t.Errorf("NewCacheArray = %v, %v; want nil, ErrGeometry", cs, err)
+			}
+		})
+	}
 }

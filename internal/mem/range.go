@@ -18,11 +18,9 @@ import (
 
 // Addr is a byte address in the simulated GPU's virtual address space.
 //
-// It is a defined type (not an alias for uint64) so the cpelint unitsafety
-// pass has real type information to check: arithmetic mixing Addr with
-// event.Time — two unsigned domains that must never meet — needs an explicit
-// conversion, and the pass flags any conversion chain that launders one into
-// the other.
+// It is a defined type (not an alias for uint64) so that arithmetic mixing
+// Addr with event.Time — two unsigned domains that must never meet — needs
+// an explicit conversion.
 type Addr uint64
 
 // Range is a half-open address interval [Lo, Hi).
@@ -31,8 +29,6 @@ type Range struct {
 }
 
 // Size returns the number of bytes in r.
-//
-//cpelide:noalloc
 func (r Range) Size() uint64 {
 	if r.Hi <= r.Lo {
 		return 0
@@ -41,25 +37,17 @@ func (r Range) Size() uint64 {
 }
 
 // Empty reports whether r covers no bytes.
-//
-//cpelide:noalloc
 func (r Range) Empty() bool { return r.Hi <= r.Lo }
 
 // Contains reports whether a lies in r.
-//
-//cpelide:noalloc
 func (r Range) Contains(a Addr) bool { return a >= r.Lo && a < r.Hi }
 
 // Overlaps reports whether r and o share at least one byte.
-//
-//cpelide:noalloc
 func (r Range) Overlaps(o Range) bool {
 	return !r.Empty() && !o.Empty() && r.Lo < o.Hi && o.Lo < r.Hi
 }
 
 // Intersect returns the overlap of r and o (possibly empty).
-//
-//cpelide:noalloc
 func (r Range) Intersect(o Range) Range {
 	lo, hi := r.Lo, r.Hi
 	if o.Lo > lo {
@@ -77,8 +65,6 @@ func (r Range) Intersect(o Range) Range {
 // Union returns the smallest range covering both r and o. The gap between
 // them, if any, is included; callers that need exact coverage should keep a
 // RangeSet instead.
-//
-//cpelide:noalloc
 func (r Range) Union(o Range) Range {
 	if r.Empty() {
 		return o
@@ -98,8 +84,6 @@ func (r Range) Union(o Range) Range {
 
 // Adjacent reports whether r and o touch or overlap, i.e. their union is
 // contiguous.
-//
-//cpelide:noalloc
 func (r Range) Adjacent(o Range) bool {
 	return !r.Empty() && !o.Empty() && r.Lo <= o.Hi && o.Lo <= r.Hi
 }
@@ -138,8 +122,6 @@ func NewRangeSet(ranges ...Range) RangeSet {
 }
 
 // Len returns the number of disjoint ranges.
-//
-//cpelide:noalloc
 func (s RangeSet) Len() int {
 	if s.spill != nil {
 		return len(s.spill)
@@ -149,8 +131,6 @@ func (s RangeSet) Len() int {
 
 // At returns the i-th range in ascending order. Together with Len it is the
 // allocation-free way to iterate a set.
-//
-//cpelide:noalloc
 func (s *RangeSet) At(i int) Range {
 	if s.spill != nil {
 		return s.spill[i]
@@ -159,8 +139,6 @@ func (s *RangeSet) At(i int) Range {
 }
 
 // Equal reports whether s and o contain exactly the same ranges.
-//
-//cpelide:noalloc
 func (s *RangeSet) Equal(o RangeSet) bool {
 	n := s.Len()
 	if n != o.Len() {
@@ -175,8 +153,6 @@ func (s *RangeSet) Equal(o RangeSet) bool {
 }
 
 // view returns the members as a slice aliasing the receiver's storage.
-//
-//cpelide:noalloc
 func (s *RangeSet) view() []Range {
 	if s.spill != nil {
 		return s.spill
@@ -186,8 +162,6 @@ func (s *RangeSet) view() []Range {
 
 // setTo replaces the members with out (sorted, disjoint, non-adjacent),
 // reusing the existing spill slice when it has capacity.
-//
-//cpelide:noalloc spill growth is baselined below
 func (s *RangeSet) setTo(out []Range) {
 	if s.spill == nil && len(out) <= inlineRanges {
 		s.n = int32(copy(s.inline[:], out))
@@ -198,7 +172,7 @@ func (s *RangeSet) setTo(out []Range) {
 		copy(s.spill, out)
 		return
 	}
-	//cpelint:ignore noalloc spill replacement when capacity is exceeded; amortized by 2x growth
+	// Spill replacement when capacity is exceeded; amortized by 2x growth.
 	s.spill = make([]Range, len(out))
 	copy(s.spill, out)
 	s.n = 0
@@ -207,8 +181,6 @@ func (s *RangeSet) setTo(out []Range) {
 // Add inserts r, merging with any overlapping or adjacent members. The edit
 // is in place: an insert shifts the tail right (growing storage only when
 // needed), a merge collapses the overlapped window with a copy-within.
-//
-//cpelide:noalloc inline-to-spill transition and spill growth are baselined below
 func (s *RangeSet) Add(r Range) {
 	if r.Empty() {
 		return
@@ -246,7 +218,7 @@ func (s *RangeSet) Add(r Range) {
 			s.n++
 			return
 		}
-		//cpelint:ignore noalloc one-time inline-to-spill transition past 4 ranges
+		// One-time inline-to-spill transition past 4 ranges.
 		sp := make([]Range, n+1, 2*inlineRanges)
 		copy(sp, s.inline[:i])
 		sp[i] = merged
@@ -255,15 +227,13 @@ func (s *RangeSet) Add(r Range) {
 		s.n = 0
 		return
 	}
-	//cpelint:ignore noalloc amortized spill growth; steady state inserts in place
+	// Amortized spill growth; steady state inserts in place.
 	s.spill = append(s.spill, Range{})
 	copy(s.spill[i+1:], s.spill[i:])
 	s.spill[i] = merged
 }
 
 // truncate shortens the member count to n after an in-place collapse.
-//
-//cpelide:noalloc
 func (s *RangeSet) truncate(n int) {
 	if s.spill != nil {
 		s.spill = s.spill[:n]
@@ -274,8 +244,6 @@ func (s *RangeSet) truncate(n int) {
 
 // AddSet inserts every range of o with a single linear merge-walk over the
 // two sorted sets (the old per-range Add was O(len(s)) per insertion).
-//
-//cpelide:noalloc large-set scratch fallback is baselined below
 func (s *RangeSet) AddSet(o RangeSet) {
 	on := o.Len()
 	if on == 0 {
@@ -293,7 +261,7 @@ func (s *RangeSet) AddSet(o RangeSet) {
 	var stack [2 * inlineRanges]Range
 	out := stack[:0]
 	if sn+on > len(stack) {
-		//cpelint:ignore noalloc scratch fallback for sets beyond 8 ranges; typical sets stay on the stack
+		// Heap fallback for sets beyond 8 ranges; typical sets stay on the stack.
 		out = make([]Range, 0, sn+on)
 	}
 	sv, ov := s.view(), o.view()
@@ -320,8 +288,6 @@ func (s *RangeSet) AddSet(o RangeSet) {
 
 // IntersectSet reduces s to the bytes covered by both s and o, with a linear
 // merge-walk over the two sorted sets.
-//
-//cpelide:noalloc large-set scratch fallback is baselined below
 func (s *RangeSet) IntersectSet(o RangeSet) {
 	sn, on := s.Len(), o.Len()
 	if sn == 0 {
@@ -334,7 +300,7 @@ func (s *RangeSet) IntersectSet(o RangeSet) {
 	var stack [2 * inlineRanges]Range
 	out := stack[:0]
 	if sn+on > len(stack) {
-		//cpelint:ignore noalloc scratch fallback for sets beyond 8 ranges; typical sets stay on the stack
+		// Heap fallback for sets beyond 8 ranges; typical sets stay on the stack.
 		out = make([]Range, 0, sn+on)
 	}
 	sv, ov := s.view(), o.view()
@@ -376,8 +342,6 @@ func (s RangeSet) Size() uint64 {
 }
 
 // Contains reports whether a lies in any member range.
-//
-//cpelide:noalloc
 func (s RangeSet) Contains(a Addr) bool {
 	rs := s.view()
 	if s.spill != nil {
@@ -393,8 +357,6 @@ func (s RangeSet) Contains(a Addr) bool {
 }
 
 // Overlaps reports whether any member overlaps r.
-//
-//cpelide:noalloc
 func (s RangeSet) Overlaps(r Range) bool {
 	rs := s.view()
 	if s.spill != nil {
@@ -411,8 +373,6 @@ func (s RangeSet) Overlaps(r Range) bool {
 
 // OverlapsSet reports whether the two sets share at least one byte, with a
 // linear walk over the two sorted sets.
-//
-//cpelide:noalloc
 func (s RangeSet) OverlapsSet(o RangeSet) bool {
 	sv, ov := s.view(), o.view()
 	i, j := 0, 0
@@ -430,8 +390,6 @@ func (s RangeSet) OverlapsSet(o RangeSet) bool {
 }
 
 // Bounds returns the smallest single range covering the set.
-//
-//cpelide:noalloc
 func (s RangeSet) Bounds() Range {
 	rs := s.view()
 	if len(rs) == 0 {

@@ -161,8 +161,6 @@ var maxSemantics = func() [numCounters]bool {
 
 // IsMax reports whether counter c carries peak/level semantics: Merge takes
 // the maximum for it, and DeltaFrom reports its absolute value.
-//
-//cpelide:noalloc
 func IsMax(c Counter) bool { return c >= 0 && c < numCounters && maxSemantics[c] }
 
 const touchedWords = (int(numCounters) + 63) / 64
@@ -188,17 +186,13 @@ type Sheet struct {
 // New returns an empty Sheet.
 func New() *Sheet { return &Sheet{} }
 
-//cpelide:noalloc
 func (s *Sheet) touch(c Counter) { s.touched[c>>6] |= 1 << (c & 63) }
 
-//cpelide:noalloc
 func (s *Sheet) isTouched(c Counter) bool {
 	return s.v[c] != 0 || s.touched[c>>6]&(1<<(c&63)) != 0
 }
 
 // Add increments counter c by n.
-//
-//cpelide:noalloc
 func (s *Sheet) Add(c Counter, n uint64) {
 	if s == nil || c < 0 || c >= numCounters {
 		return
@@ -210,13 +204,9 @@ func (s *Sheet) Add(c Counter, n uint64) {
 }
 
 // Inc increments counter c by one.
-//
-//cpelide:noalloc
 func (s *Sheet) Inc(c Counter) { s.Add(c, 1) }
 
 // Max raises counter c to n if n is larger than the current value.
-//
-//cpelide:noalloc
 func (s *Sheet) Max(c Counter, n uint64) {
 	if s == nil || c < 0 || c >= numCounters {
 		return
@@ -230,8 +220,6 @@ func (s *Sheet) Max(c Counter, n uint64) {
 }
 
 // Get returns the value of counter c (zero if never incremented).
-//
-//cpelide:noalloc
 func (s *Sheet) Get(c Counter) uint64 {
 	if s == nil || c < 0 || c >= numCounters {
 		return 0
@@ -240,8 +228,6 @@ func (s *Sheet) Get(c Counter) uint64 {
 }
 
 // Set overwrites counter c with n.
-//
-//cpelide:noalloc
 func (s *Sheet) Set(c Counter, n uint64) {
 	if s == nil || c < 0 || c >= numCounters {
 		return
