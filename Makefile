@@ -17,8 +17,8 @@ race:
 	$(GO) test -race -count=1 -timeout 15m ./internal/farm/... ./internal/event/... ./internal/server/...
 
 # lint = the repo's static gates: cpelint's three passes (DESIGN §12), go
-# vet, and gofmt. staticcheck needs the network to install, so only CI runs
-# it (pinned to v0.5.1 there).
+# vet, and gofmt. staticcheck needs the network to install; CI installs it
+# and `bash scripts/ci.sh staticcheck` runs it where it is installed.
 lint: cpelint
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -40,7 +40,7 @@ loadgen:
 # (zero simulations), and a corrupted store file quarantined with exactly
 # one re-simulation. Writes BENCH_cluster.json.
 server-smoke:
-	@bash scripts/server_smoke.sh
+	@bash scripts/ci.sh server-smoke
 
 # Re-measure the committed performance baseline (run on a quiet machine).
 bench:
@@ -49,15 +49,16 @@ bench:
 # The CI whole-matrix lock, locally: one SHA-256 per simulated run of
 # paper-figures -scale 0.1, diffed against testdata/paper_digests.json.
 paper-digests:
-	@bash scripts/paper_digests.sh
+	@bash scripts/ci.sh paper-digests
 
-# The CI regression gate, locally: measure now, compare the
-# machine-independent metrics against the committed baseline.
+# The CI regression gate, locally: measure now into BENCH_current.json,
+# compare the machine-independent metrics against the committed baseline,
+# and check the pprof recipe.
 bench-gate:
-	$(GO) run ./cmd/bench -benchtime 200ms -out /tmp/BENCH_current.json
-	$(GO) run ./cmd/bench -against /tmp/BENCH_current.json -baseline BENCH_core.json -metrics allocs,cycles,accesses -max-regress 0.10
+	@bash scripts/ci.sh bench-gate
 
-# Every CI job in the workflow's order, one PASS/FAIL line each; exits
-# nonzero if any job fails. Rewrites BENCH_cluster.json (server-smoke).
+# Every CI job (scripts/ci.sh) in the workflow's order, one PASS/FAIL line
+# each; exits nonzero if any job fails. Rewrites BENCH_cluster.json
+# (server-smoke). Offline, staticcheck fails as not installed.
 ci:
 	@bash scripts/ci.sh

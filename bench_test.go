@@ -1,237 +1,19 @@
-// Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation (see DESIGN.md's per-experiment index). Each benchmark
-// regenerates the corresponding series and reports the paper's headline
-// metric as a custom unit alongside the runtime.
+// Simulator benchmark: BenchmarkSimulatorThroughput is the engineering metric
+// and the target of the documented function-level profiling recipe:
 //
-// Full-paper inputs:
+//	go test -run '^$' -bench 'SimulatorThroughput/CPElide' -benchtime 1s -cpuprofile cpu.out .
+//	go tool pprof -top -focus 'repro/internal/' repro.test cpu.out
 //
-//	go test -bench=. -benchmem
-//
-// Quick pass (reduced footprints):
-//
-//	go test -bench=. -benchmem -short
+// The paper's figures and tables are regenerated by cmd/paper-figures
+// (-only selects one), not by Go benchmarks.
 package cpelide_test
 
 import (
 	"testing"
 
 	"repro"
-	"repro/internal/experiments"
 	"repro/internal/workloads"
 )
-
-// benchParams picks full-paper inputs normally, reduced inputs under -short.
-func benchParams(b *testing.B) experiments.Params {
-	if testing.Short() {
-		return experiments.Params{Scale: 0.1}
-	}
-	return experiments.Params{}
-}
-
-// BenchmarkFigure2 regenerates the motivation figure: 4-chiplet baseline
-// slowdown versus the equivalent monolithic GPU (paper: ~54% average loss,
-// prior work 29-45%).
-func BenchmarkFigure2(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure2(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(slowdown)"], "slowdown")
-	}
-}
-
-// BenchmarkFigure8 regenerates the main performance figure per chiplet
-// count (paper, 4 chiplets: CPElide +13% over Baseline, +19% over HMG).
-func BenchmarkFigure8(b *testing.B) {
-	for _, n := range []int{2, 4, 6, 7} {
-		n := n
-		b.Run(benchName("chiplets", n), func(b *testing.B) {
-			p := benchParams(b)
-			for i := 0; i < b.N; i++ {
-				results, err := experiments.Figure8(p, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := results[n]
-				b.ReportMetric(res.Summary["geomean(CPElide)"], "CPElide-speedup")
-				b.ReportMetric(res.Summary["geomean(HMG)"], "HMG-speedup")
-			}
-		})
-	}
-}
-
-// BenchmarkFigure9 regenerates the 4-chiplet energy figure (paper: CPElide
-// -14% vs Baseline, -11% vs HMG).
-func BenchmarkFigure9(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure9(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(CPElide)"], "CPElide-energy")
-		b.ReportMetric(res.Summary["geomean(HMG)"], "HMG-energy")
-	}
-}
-
-// BenchmarkFigure10 regenerates the 4-chiplet interconnect-traffic figure
-// (paper: CPElide -14% vs Baseline, -17% vs HMG).
-func BenchmarkFigure10(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure10(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(CPElide)"], "CPElide-flits")
-		b.ReportMetric(res.Summary["geomean(HMG)"], "HMG-flits")
-	}
-}
-
-// BenchmarkTableII regenerates the workload inventory's reuse metric.
-func BenchmarkTableII(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TableII(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScalingStudy regenerates the Section VI 8-/16-chiplet projection
-// (paper: 1% and 2% average slowdown).
-func BenchmarkScalingStudy(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.ScalingStudy(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(8-chiplet-mimic)"], "mimic8-slowdown")
-		b.ReportMetric(res.Summary["geomean(16-chiplet-mimic)"], "mimic16-slowdown")
-	}
-}
-
-// BenchmarkMultiStream regenerates the Section VI multi-stream study
-// (paper: CPElide +12% over HMG).
-func BenchmarkMultiStream(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.MultiStream(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(CPElide)"], "CPElide-speedup")
-		b.ReportMetric(res.Summary["geomean(HMG)"], "HMG-speedup")
-	}
-}
-
-// BenchmarkHMGWriteBackAblation regenerates the Section IV-C write-back HMG
-// comparison (paper: write-back 13% worse geomean).
-func BenchmarkHMGWriteBackAblation(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.HMGWriteBack(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(WB-vs-WT)"], "WB-speedup")
-	}
-}
-
-// BenchmarkAblationRangeOps measures the Section VI fine-grained hardware
-// range-flush extension against default whole-cache operations.
-func BenchmarkAblationRangeOps(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RangeOps(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(range-ops)"], "range-speedup")
-	}
-}
-
-// BenchmarkAblationAnnotations compares hipSetAccessMode-only annotations
-// against full hipSetAccessModeRange metadata.
-func BenchmarkAblationAnnotations(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AnnotationGranularity(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(mode-only)"], "mode-only-speedup")
-	}
-}
-
-// BenchmarkAblationTableSize sweeps the Chiplet Coherence Table capacity.
-func BenchmarkAblationTableSize(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.TableSize(p, 4, 8, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(entries=4)"], "tiny-table-speedup")
-	}
-}
-
-// BenchmarkAblationDirGranularity compares HMG's 4-lines-per-entry
-// directory against 1 line per entry.
-func BenchmarkAblationDirGranularity(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.DirGranularity(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(1-line-entries)"], "fine-dir-speedup")
-	}
-}
-
-// BenchmarkExtensionDriverManaged measures the Section VI driver-managed
-// alternative's cost relative to the CP-resident design.
-func BenchmarkExtensionDriverManaged(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.DriverManaged(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(driver)"], "driver-speedup")
-	}
-}
-
-// BenchmarkExtensionPagePlacement measures alternative page placement
-// policies under CPElide.
-func BenchmarkExtensionPagePlacement(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.PagePlacement(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(interleaved)"], "interleaved-speedup")
-		b.ReportMetric(res.Summary["geomean(single)"], "single-speedup")
-	}
-}
-
-// BenchmarkExtensionKernelFusion measures software kernel fusion on the
-// baseline against CPElide.
-func BenchmarkExtensionKernelFusion(b *testing.B) {
-	p := benchParams(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.KernelFusion(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Summary["geomean(Base+fusion)"], "fusion-speedup")
-		b.ReportMetric(res.Summary["geomean(CPElide)"], "CPElide-speedup")
-	}
-}
 
 // BenchmarkSimulatorThroughput measures raw simulation speed (accesses per
 // second) on one representative benchmark per protocol — the engineering
@@ -259,8 +41,4 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			b.ReportMetric(float64(accesses)/b.Elapsed().Seconds(), "accesses/s")
 		})
 	}
-}
-
-func benchName(prefix string, n int) string {
-	return prefix + "=" + string(rune('0'+n))
 }

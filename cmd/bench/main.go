@@ -9,18 +9,16 @@
 //	bench -out current.json
 //	bench -baseline BENCH_core.json -against current.json \
 //	      -metrics allocs,cycles,accesses      # CI gate, machine-independent
-//	bench -baseline current.json -against current.json -plant 1.25
-//	                                           # must exit 1 (gate self-test)
 //
 // Two metric classes are reported. ns_per_op, bytes_per_op, and allocs_per_op
 // come from testing.Benchmark; cycles and accesses are the simulation's own
 // deterministic outputs, identical on every machine — CI gates on the
 // machine-independent set (allocs, cycles, accesses) against the committed
-// baseline, while ns_per_op tracks the local trajectory and powers the
-// planted-slowdown self-test. ns_per_op is only comparable on one machine,
-// so every results file records its host (GOOS/GOARCH, CPU model, NumCPU),
-// and gating ns against a file from another host, or from none, fails
-// without comparing.
+// baseline, while ns_per_op tracks the local trajectory. ns_per_op is only
+// comparable on one machine, so every results file records its host
+// (GOOS/GOARCH, CPU model, NumCPU), and gating ns against a file from
+// another host, or from none, fails without comparing. The gate's own
+// self-test (a planted 25% regression must fail) is go test ./cmd/bench.
 package main
 
 import (
@@ -109,7 +107,6 @@ func main() {
 		against    = flag.String("against", "", "gate: results file under test (skips measuring; default = measure now)")
 		maxRegress = flag.Float64("max-regress", 0.10, "gate: fail when any gated metric regresses by more than this fraction")
 		metricsCSV = flag.String("metrics", "ns,allocs,cycles,accesses", "gate: comma-separated metrics to gate (ns, bytes, allocs, cycles, accesses)")
-		plant      = flag.Float64("plant", 1.0, "multiply the under-test ns_per_op and allocs_per_op by this factor (gate self-test: 1.25 must fail)")
 		benchtime  = flag.String("benchtime", "", "override testing benchtime (e.g. 200ms) for quicker local runs")
 	)
 	flag.Parse()
@@ -128,16 +125,6 @@ func main() {
 		}
 	} else {
 		cur = measure()
-	}
-	if *plant != 1.0 {
-		planted := *cur
-		planted.Benchmarks = append([]benchResult(nil), cur.Benchmarks...)
-		for i := range planted.Benchmarks {
-			planted.Benchmarks[i].NsPerOp *= *plant
-			planted.Benchmarks[i].AllocsPerOp = int64(float64(planted.Benchmarks[i].AllocsPerOp) * *plant)
-		}
-		cur = &planted
-		log.Printf("planted a %.0f%% ns_per_op and allocs_per_op regression for the gate self-test", 100*(*plant-1))
 	}
 
 	if *baseline != "" {

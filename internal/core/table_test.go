@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -461,5 +462,12 @@ func TestStateStrings(t *testing.T) {
 		map[int]mem.Range{0: {Lo: base0, Hi: base0 + 0x1000}})})
 	if tb.String() == "" {
 		t.Error("table String empty")
+	}
+}
+
+func TestNewTableRejectsNoChiplets(t *testing.T) {
+	tb, err := NewTable(Config{Chiplets: 0})
+	if tb != nil || !errors.Is(err, ErrNoChiplets) {
+		t.Fatalf("NewTable(Chiplets: 0) = %v, %v; want nil, ErrNoChiplets", tb, err)
 	}
 }

@@ -145,6 +145,43 @@ func TestCorruptEntryIsErrorNotMiss(t *testing.T) {
 	}
 }
 
+// TestPutGetIOErrors: file-system failures surface as errors, never as a
+// silent miss. The triggers are path-shape conflicts, which fail for every
+// user (root included, where permission bits prove nothing).
+func TestPutGetIOErrors(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A regular file where the shard directory belongs: MkdirAll fails.
+	key := testKey(3)
+	if err := os.WriteFile(filepath.Join(dir, key[:2]), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, testReport(3)); err == nil {
+		t.Fatal("Put with a file at the shard path: nil error")
+	}
+
+	// A directory where the entry file belongs: the publishing rename
+	// fails, and Get reports the read error instead of a miss.
+	key = "ff" + testKey(4)[2:] // another shard
+	if err := os.MkdirAll(filepath.Join(dir, key[:2], key+".json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, testReport(4)); err == nil {
+		t.Fatal("Put with a directory at the entry path: nil error")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, ".put-*")); len(tmps) != 0 {
+		t.Errorf("failed Put left temp files %v", tmps)
+	}
+	_, ok, err := s.Get(key)
+	if ok || err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get with a directory at the entry path: ok=%v err=%v, want a read error", ok, err)
+	}
+}
+
 // TestChecksumMismatchQuarantines flips one byte inside the report payload
 // of a valid envelope: the CRC must catch it, the file must be quarantined,
 // and the OnCorrupt hook must fire — never a wrong answer served.

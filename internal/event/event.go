@@ -8,8 +8,9 @@
 // simulations are deterministic.
 //
 // The simulator is kernel-granular, so the calendar is tiny: a few pending
-// events at most (DESIGN §16). It is a slice kept sorted by (When, seq):
-// Schedule inserts by a linear scan from the tail and Run pops the head.
+// events at most (DESIGN §16). It is a slice kept sorted by When, equal
+// times in insertion order: Schedule inserts by a linear scan from the tail
+// and Run pops the head.
 package event
 
 import "errors"
@@ -41,8 +42,6 @@ type Event struct {
 	When    Time
 	Handler Handler
 	Payload any
-
-	seq uint64 // tie-break: FIFO among events at the same time
 }
 
 // CalendarKind is retained only so option structs that still carry a
@@ -53,11 +52,10 @@ type CalendarKind uint8
 // The zero value is ready to use.
 type Engine struct {
 	now     Time
-	nextSeq uint64
 	stopped bool
 
-	// queue holds the pending events sorted by (When, seq); the earliest is
-	// queue[0].
+	// queue holds the pending events sorted by When, equal times in
+	// insertion order; the earliest is queue[0].
 	queue []Event
 
 	// OnDeliver, when non-nil, is invoked with the (already advanced) clock
@@ -84,8 +82,8 @@ func (e *Engine) Schedule(t Time, h Handler, payload any) error {
 	if t < e.now {
 		return ErrPastEvent
 	}
-	// A new event sorts after every pending event with When <= t (its seq
-	// is the largest), so scan from the tail for its slot.
+	// A new event sorts after every pending event with When <= t (FIFO
+	// among equal times), so scan from the tail for its slot.
 	i := len(e.queue)
 	for i > 0 && e.queue[i-1].When > t {
 		i--
@@ -93,8 +91,7 @@ func (e *Engine) Schedule(t Time, h Handler, payload any) error {
 	// The queue grows to the pending high-water mark, then stabilizes.
 	e.queue = append(e.queue, Event{})
 	copy(e.queue[i+1:], e.queue[i:])
-	e.queue[i] = Event{When: t, Handler: h, Payload: payload, seq: e.nextSeq}
-	e.nextSeq++
+	e.queue[i] = Event{When: t, Handler: h, Payload: payload}
 	return nil
 }
 

@@ -152,9 +152,9 @@ type Server struct {
 	lruAnswers *metrics.Counter
 	joins      *metrics.Counter
 
-	// reg and log are the observability surface: a nil registry makes every
-	// metric a detached no-op and a nil logger discards, so tests that only
-	// exercise the job API need no wiring.
+	// reg and log are the observability surface. Until Instrument attaches
+	// them, the registry is nil (no HTTP metrics are recorded) and log is
+	// discardLog, so tests that only exercise the job API need no wiring.
 	reg *metrics.Registry
 	log *slog.Logger
 
@@ -170,27 +170,25 @@ func New(f *farm.Farm, queueCap int) *Server {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	return &Server{farm: f, queueCap: queueCap, lruAnswers: &metrics.Counter{}, joins: &metrics.Counter{}}
+	return &Server{farm: f, queueCap: queueCap, lruAnswers: &metrics.Counter{}, joins: &metrics.Counter{}, log: discardLog}
 }
+
+// discardLog is the logger of a server without one: its level is above
+// every record's, so a log call formats nothing.
+var discardLog = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 // Instrument attaches the observability surface: the metrics registry
 // (server gauges; the HTTP middleware and /metrics mount read it too) and
 // the structured logger. Call before Handler(); both may be nil.
 func (s *Server) Instrument(reg *metrics.Registry, logger *slog.Logger) {
 	s.reg = reg
-	s.log = logger
+	if logger != nil {
+		s.log = logger
+	}
 	reg.GaugeFunc("server_queue_depth", "Accepted jobs not yet finished.", s.pending.Load)
 	reg.Gauge("server_queue_cap", "Accepted jobs allowed beyond the farm workers before submissions get 429.").Set(int64(s.queueCap))
 	s.lruAnswers = reg.Counter("server_lru_answers_total", "Submits answered 200 from the farm's result cache.")
 	s.joins = reg.Counter("server_joins_total", "Submits answered 200 because their job was already queued or running.")
-}
-
-// logger returns the structured logger, discarding when none was attached.
-func (s *Server) logger() *slog.Logger {
-	if s.log == nil {
-		return slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	return s.log
 }
 
 // Drain stops accepting submissions, waits for every accepted job to finish,
@@ -244,7 +242,8 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // middleware tags every response with an X-Request-ID (honoring one the
 // client sent, so IDs correlate across services), logs the request with it,
-// and feeds the HTTP metrics. Applied to every route, errors included.
+// and feeds the HTTP metrics when a registry is attached. Applied to every
+// route, errors included.
 func (s *Server) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -256,11 +255,13 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		durUS := time.Since(start).Microseconds()
-		s.reg.Counter(fmt.Sprintf("http_requests_total{code=%q}", strconv.Itoa(sw.code)),
-			"HTTP responses by status code.").Inc()
-		s.reg.Histogram("http_request_duration_us", "HTTP request latency, microseconds.").
-			Observe(uint64(durUS))
-		s.logger().Info("request", "request_id", id, "method", r.Method,
+		if s.reg != nil {
+			s.reg.Counter(fmt.Sprintf("http_requests_total{code=%q}", strconv.Itoa(sw.code)),
+				"HTTP responses by status code.").Inc()
+			s.reg.Histogram("http_request_duration_us", "HTTP request latency, microseconds.").
+				Observe(uint64(durUS))
+		}
+		s.log.Info("request", "request_id", id, "method", r.Method,
 			"path", r.URL.Path, "status", sw.code, "dur_us", durUS)
 	})
 }
@@ -360,11 +361,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.pending.Add(1)
 	s.wg.Add(1)
 	s.mu.Unlock()
-	s.logger().Info("job accepted", "job_id", id, "job", job.Name())
+	s.log.Info("job accepted", "job_id", id, "job", job.Name())
 	start := time.Now()
 	s.farm.Start(job, func(_ *cpelide.Report, err error) {
 		s.pending.Add(-1)
-		s.logger().Info("job finished", "job_id", id, "job", job.Name(),
+		s.log.Info("job finished", "job_id", id, "job", job.Name(),
 			"dur_us", time.Since(start).Microseconds(), "err", err)
 		s.wg.Done()
 	})

@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 TOTAL_MIN=89.6
 declare -A FLOOR=([repro/internal/core]=94.2 [repro/internal/mem]=94.9)
 
-go test -short -coverpkg=./internal/... -coverprofile=cover.out ./...
+go test -short -timeout 5m -coverpkg=./internal/... -coverprofile=cover.out ./...
 
 total=$(go tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $3); print $3}')
 echo "total coverage: ${total}% (gate ${TOTAL_MIN}%)"

@@ -14,7 +14,12 @@ TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
 go build -o "$TMP/paper-figures" ./cmd/paper-figures
-"$TMP/paper-figures" -scale 0.1 -json -workers 2 -digest "$TMP/got.json" >/dev/null
+# A hang (a farm that never finishes a job) fails in 10 minutes, not never.
+timeout 10m "$TMP/paper-figures" -scale 0.1 -json -workers 2 -digest "$TMP/got.json" >/dev/null || {
+	rc=$?
+	[ "$rc" -ne 124 ] || echo "paper digests: paper-figures did not finish within 10 minutes" >&2
+	exit "$rc"
+}
 
 if [ "${1:-}" = "--update" ]; then
 	cp "$TMP/got.json" "$WANT"
