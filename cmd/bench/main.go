@@ -8,17 +8,18 @@
 //	bench -out BENCH_core.json                 # measure and write the baseline
 //	bench -out current.json
 //	bench -baseline BENCH_core.json -against current.json \
-//	      -metrics allocs,cycles,accesses      # CI gate, machine-independent
+//	      -metrics allocs                      # CI gate, machine-independent
 //
-// Two metric classes are reported. ns_per_op, bytes_per_op, and allocs_per_op
-// come from testing.Benchmark; cycles and accesses are the simulation's own
-// deterministic outputs, identical on every machine — CI gates on the
-// machine-independent set (allocs, cycles, accesses) against the committed
-// baseline, while ns_per_op tracks the local trajectory. ns_per_op is only
-// comparable on one machine, so every results file records its host
-// (GOOS/GOARCH, CPU model, NumCPU), and gating ns against a file from
-// another host, or from none, fails without comparing. The gate's own
-// self-test (a planted 25% regression must fail) is go test ./cmd/bench.
+// ns_per_op, bytes_per_op and allocs_per_op come from testing.Benchmark. CI
+// gates allocs_per_op, which is the same on every machine, against the
+// committed baseline, while ns_per_op tracks the local trajectory. The
+// simulated cycles and accesses of these six runs are not recorded: each
+// run's whole report is one of the 912 runs scripts/paper_digests.sh locks
+// byte for byte (DESIGN §16). ns_per_op is only comparable on one machine,
+// so every results file records its host (GOOS/GOARCH, CPU model, NumCPU),
+// and gating ns against a file from another host, or from none, fails
+// without comparing. The gate's own self-test (a planted 25% regression must
+// fail) is go test ./cmd/bench.
 package main
 
 import (
@@ -60,11 +61,6 @@ type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Cycles and Accesses are the run's deterministic simulation outputs:
-	// identical across machines, so regressions in them are algorithmic,
-	// never noise.
-	Cycles   uint64 `json:"cycles"`
-	Accesses uint64 `json:"accesses"`
 }
 
 // benchHost identifies the machine a results file was measured on. CPU is
@@ -106,7 +102,7 @@ func main() {
 		baseline   = flag.String("baseline", "", "gate: results file to compare against (the reference)")
 		against    = flag.String("against", "", "gate: results file under test (skips measuring; default = measure now)")
 		maxRegress = flag.Float64("max-regress", 0.10, "gate: fail when any gated metric regresses by more than this fraction")
-		metricsCSV = flag.String("metrics", "ns,allocs,cycles,accesses", "gate: comma-separated metrics to gate (ns, bytes, allocs, cycles, accesses)")
+		metricsCSV = flag.String("metrics", "ns,allocs", "gate: comma-separated metrics to gate (ns, bytes, allocs)")
 		benchtime  = flag.String("benchtime", "", "override testing benchtime (e.g. 200ms) for quicker local runs")
 	)
 	flag.Parse()
@@ -186,29 +182,24 @@ func measure() *benchFile {
 	out := &benchFile{Schema: schemaV1, GoVersion: runtime.Version(), Host: thisHost()}
 	for _, c := range matrix {
 		name := fmt.Sprintf("%s/%s", c.Workload, strings.ToLower(c.Protocol.String()))
-		var rep *cpelide.Report
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = runOne(c)
-				if err != nil {
+				if err := runOne(c); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		if rep == nil {
-			log.Fatalf("%s: benchmark produced no report", name)
+		if r.N == 0 {
+			log.Fatalf("%s: benchmark did not complete a run", name)
 		}
 		out.Benchmarks = append(out.Benchmarks, benchResult{
 			Name:        name,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
-			Cycles:      rep.Cycles,
-			Accesses:    rep.Accesses,
 		})
-		log.Printf("%-24s %12.0f ns/op %10d allocs/op %14d cycles", name, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp(), rep.Cycles)
+		log.Printf("%-24s %12.0f ns/op %10d allocs/op", name, float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp())
 	}
 	return out
 }
@@ -231,14 +222,15 @@ func thisHost() *benchHost {
 	return h
 }
 
-func runOne(c benchCase) (*cpelide.Report, error) {
+func runOne(c benchCase) error {
 	cfg := cpelide.DefaultConfig(4)
 	alloc := cpelide.NewAllocator(cfg.PageSize)
 	w, err := workloads.Build(c.Workload, alloc, workloads.Params{Scale: c.Scale})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return cpelide.Run(cfg, w, cpelide.Options{Protocol: c.Protocol})
+	_, err = cpelide.Run(cfg, w, cpelide.Options{Protocol: c.Protocol})
+	return err
 }
 
 // gate compares the under-test results to the baseline and returns one
@@ -246,12 +238,19 @@ func runOne(c benchCase) (*cpelide.Report, error) {
 // baseline benchmark missing from the run. New benchmarks (in cur, not in
 // base) pass — the matrix is allowed to grow. ns is compared only when
 // both files record the same host; otherwise the mismatch is the violation.
+// A metric name the files do not carry is a violation too, so a stale
+// -metrics list fails instead of gating nothing.
 func gate(base, cur *benchFile, maxRegress float64, gateMetrics []string) []string {
 	want := map[string]bool{}
-	for _, m := range gateMetrics {
-		want[strings.TrimSpace(m)] = true
-	}
 	var failures []string
+	for _, m := range gateMetrics {
+		switch m = strings.TrimSpace(m); m {
+		case "ns", "bytes", "allocs":
+			want[m] = true
+		default:
+			failures = append(failures, fmt.Sprintf("%s: not a gated metric (ns, bytes, allocs)", m))
+		}
+	}
 	if want["ns"] && (base.Host == nil || cur.Host == nil || *base.Host != *cur.Host) {
 		failures = append(failures, fmt.Sprintf(
 			"ns: not comparable across hosts: baseline measured on %v, results under test on %v",
@@ -282,8 +281,6 @@ func gate(base, cur *benchFile, maxRegress float64, gateMetrics []string) []stri
 		check(b.Name, "ns", b.NsPerOp, c.NsPerOp)
 		check(b.Name, "bytes", float64(b.BytesPerOp), float64(c.BytesPerOp))
 		check(b.Name, "allocs", float64(b.AllocsPerOp), float64(c.AllocsPerOp))
-		check(b.Name, "cycles", float64(b.Cycles), float64(c.Cycles))
-		check(b.Name, "accesses", float64(b.Accesses), float64(c.Accesses))
 	}
 	return failures
 }

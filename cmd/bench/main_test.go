@@ -7,7 +7,7 @@ import (
 
 func hostFile(h *benchHost, ns float64, allocs int64) *benchFile {
 	return &benchFile{Schema: schemaV1, Host: h, Benchmarks: []benchResult{
-		{Name: "square/baseline", NsPerOp: ns, AllocsPerOp: allocs, Cycles: 100, Accesses: 50},
+		{Name: "square/baseline", NsPerOp: ns, AllocsPerOp: allocs},
 	}}
 }
 
@@ -15,11 +15,12 @@ func hostFile(h *benchHost, ns float64, allocs int64) *benchFile {
 // file that records none, is never compared; the mismatch itself fails the
 // gate and names both hosts. Machine-independent metrics still gate. It is
 // also the gate's self-test: a planted 25% ns or allocs regression must fail,
-// gated with every metric or with that metric alone.
+// gated with every metric or with that metric alone, and a metric the files
+// do not carry fails rather than gating nothing.
 func TestGateRefusesNsAcrossHosts(t *testing.T) {
 	a := &benchHost{GOOS: "linux", GOARCH: "amd64", CPU: "Model A", NumCPU: 2}
 	b := &benchHost{GOOS: "linux", GOARCH: "amd64", CPU: "Model B", NumCPU: 2}
-	all := []string{"ns", "allocs", "cycles", "accesses"}
+	all := []string{"ns", "allocs"}
 
 	if f := gate(hostFile(a, 100, 100), hostFile(a, 105, 105), 0.10, all); len(f) != 0 {
 		t.Errorf("same host, 5%% worse: %v, want pass", f)
@@ -52,7 +53,10 @@ func TestGateRefusesNsAcrossHosts(t *testing.T) {
 			t.Errorf("%s: %v, want one host failure naming both hosts", tc.name, f)
 		}
 	}
-	if f := gate(hostFile(nil, 100, 100), hostFile(b, 500, 100), 0.10, []string{"allocs", "cycles", "accesses"}); len(f) != 0 {
+	if f := gate(hostFile(nil, 100, 100), hostFile(b, 500, 100), 0.10, []string{"allocs"}); len(f) != 0 {
 		t.Errorf("machine-independent gate across hosts: %v, want pass", f)
+	}
+	if f := gate(hostFile(a, 100, 100), hostFile(a, 100, 100), 0.10, []string{"allocs", "cycles"}); len(f) != 1 || !strings.HasPrefix(f[0], "cycles: not a gated metric") {
+		t.Errorf("gating an unrecorded metric: %v, want one failure naming it", f)
 	}
 }

@@ -172,23 +172,6 @@ func TestCPElideBeatsBaselineOnIterativeReuse(t *testing.T) {
 	}
 }
 
-func TestDeterminism(t *testing.T) {
-	for _, p := range allProtocols {
-		a, err := Run(DefaultConfig(4), producerConsumer(4), Options{Protocol: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(DefaultConfig(4), producerConsumer(4), Options{Protocol: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Cycles != b.Cycles || a.TotalFlits() != b.TotalFlits() {
-			t.Errorf("%v: nondeterministic: %d vs %d cycles, %d vs %d flits",
-				p, a.Cycles, b.Cycles, a.TotalFlits(), b.TotalFlits())
-		}
-	}
-}
-
 func TestMonolithicRuns(t *testing.T) {
 	rep, err := Run(MonolithicConfig(4), smallSquare(6), Options{Protocol: ProtocolBaseline})
 	if err != nil {

@@ -264,24 +264,20 @@ func (f *Farm) acquire(job Job) (fl *flight, leader bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.c.Jobs++
-	f.m.jobs.Inc()
 	if fl, ok := f.cache.get(key, true); ok && fl.err == nil {
 		f.c.CacheHits++
-		f.m.hits.Inc()
 		now := f.sinceUS()
 		f.rec.Job(-1, job.Name()+" [cached]", now, now, now)
 		return fl, false, nil
 	}
 	if fl, ok := f.inflight[key]; ok {
 		f.c.DedupWaits++
-		f.m.dedup.Inc()
 		return fl, false, nil
 	}
 	if f.closed {
 		return nil, false, ErrClosed
 	}
 	f.c.CacheMisses++
-	f.m.misses.Inc()
 	fl = &flight{key: key, job: job, queuedUS: f.sinceUS(), done: make(chan struct{}), state: "queued"}
 	f.inflight[key] = fl
 	return fl, true, nil
@@ -413,7 +409,6 @@ func (f *Farm) storeGet(key string) (*cpelide.Report, bool) {
 	if err != nil {
 		f.mu.Lock()
 		f.c.StoreErrors++
-		f.m.storeErrs.Inc()
 		f.mu.Unlock()
 		return nil, false
 	}
@@ -430,10 +425,8 @@ func (f *Farm) storePut(key string, rep *cpelide.Report) {
 	f.mu.Lock()
 	if err != nil {
 		f.c.StoreErrors++
-		f.m.storeErrs.Inc()
 	} else {
 		f.c.StorePuts++
-		f.m.storePuts.Inc()
 	}
 	f.mu.Unlock()
 }
@@ -451,7 +444,6 @@ func (f *Farm) executeTimed(parent context.Context, j Job) (*cpelide.Report, err
 	if err != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) && parent.Err() == nil {
 		f.mu.Lock()
 		f.c.Timeouts++
-		f.m.timeouts.Inc()
 		f.mu.Unlock()
 		return nil, fmt.Errorf("farm: job %s after %v: %w", j.Name(), f.jobTimeout, ErrJobTimeout)
 	}
@@ -466,7 +458,6 @@ func (f *Farm) execute(ctx context.Context, j Job) (rep *cpelide.Report, err err
 			err = fmt.Errorf("farm: job %s: %w: %v", j.Name(), ErrPanic, p)
 			f.mu.Lock()
 			f.c.Panics++
-			f.m.panics.Inc()
 			f.mu.Unlock()
 		}
 	}()
@@ -548,18 +539,14 @@ func (f *Farm) finish(fl *flight, rep *cpelide.Report, err error, src resolveSrc
 	switch {
 	case err != nil:
 		f.c.Errors++
-		f.m.errs.Inc()
 	case src == srcRun:
 		f.c.Runs++
-		f.m.runs.Inc()
 		f.m.observeReport(rep)
 	case src == srcStore:
 		f.c.StoreHits++
-		f.m.storeHits.Inc()
 	}
 	if src != srcAbort && f.cache.add(fl) {
 		f.c.Evictions++
-		f.m.evictions.Inc()
 	}
 	if f.inflight[fl.key] == fl {
 		delete(f.inflight, fl.key)

@@ -39,7 +39,6 @@ func (f *Farm) Warm(keys []string) int {
 		if err != nil {
 			f.mu.Lock()
 			f.c.StoreErrors++
-			f.m.storeErrs.Inc()
 			f.mu.Unlock()
 			continue
 		}
@@ -51,7 +50,6 @@ func (f *Farm) Warm(keys []string) int {
 		f.mu.Lock()
 		if f.cache.add(fl) {
 			f.c.Evictions++
-			f.m.evictions.Inc()
 		}
 		f.mu.Unlock()
 		loaded++

@@ -143,6 +143,7 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -150,7 +151,7 @@ const (
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindHistogram:
 		return "histogram"
@@ -167,7 +168,7 @@ type entry struct {
 
 	counter   *Counter
 	gauge     *Gauge
-	gaugeFn   func() int64
+	fn        func() int64 // a GaugeFunc's or CounterFunc's value
 	histogram *Histogram
 }
 
@@ -273,10 +274,19 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // time (queue depths, cache occupancy). Re-registering a name replaces the
 // function. fn must be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	e := r.lookup(name, help, kindGaugeFunc, func(e *entry) {})
-	if e != nil {
+	r.registerFunc(name, help, kindGaugeFunc, fn)
+}
+
+// CounterFunc is GaugeFunc for a counter: a tally its owner already keeps
+// (the farm's Counters), read at exposition time. fn must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	r.registerFunc(name, help, kindCounterFunc, func() int64 { return int64(fn()) })
+}
+
+func (r *Registry) registerFunc(name, help string, kind metricKind, fn func() int64) {
+	if e := r.lookup(name, help, kind, func(e *entry) {}); e != nil {
 		r.mu.Lock()
-		e.gaugeFn = fn
+		e.fn = fn
 		r.mu.Unlock()
 	}
 }
@@ -335,10 +345,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %d\n", e.name, e.counter.Value())
 		case kindGauge:
 			fmt.Fprintf(&b, "%s %d\n", e.name, e.gauge.Value())
-		case kindGaugeFunc:
+		case kindGaugeFunc, kindCounterFunc:
 			var v int64
-			if e.gaugeFn != nil {
-				v = e.gaugeFn()
+			if e.fn != nil {
+				v = e.fn()
 			}
 			fmt.Fprintf(&b, "%s %d\n", e.name, v)
 		case kindHistogram:

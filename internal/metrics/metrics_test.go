@@ -30,6 +30,7 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("x", "").Set(1)
 	r.Histogram("x", "").Observe(1)
 	r.GaugeFunc("x", "", func() int64 { return 1 })
+	r.CounterFunc("x", "", func() uint64 { return 1 })
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil registry write: %v", err)
 	}
@@ -97,11 +98,13 @@ func TestNameSanitization(t *testing.T) {
 }
 
 // TestExpositionFormat pins the Prometheus text format: HELP/TYPE once per
-// family, labeled series grouped under one family header, histogram
+// family (a CounterFunc is TYPE counter), labeled series grouped under one
+// family header, histogram
 // cumulative buckets with a +Inf catch-all plus _sum and _count.
 func TestExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("farm_jobs_total", "Jobs submitted.").Add(3)
+	r.CounterFunc("farm_runs_total", "Runs executed.", func() uint64 { return 4 })
 	r.Counter(`http_requests_total{code="200"}`, "HTTP requests by status.").Add(5)
 	r.Counter(`http_requests_total{code="429"}`, "").Add(1)
 	r.Gauge("farm_queue_depth", "Pending jobs.").Set(2)
@@ -122,6 +125,9 @@ farm_jobs_total 3
 # HELP farm_queue_depth Pending jobs.
 # TYPE farm_queue_depth gauge
 farm_queue_depth 2
+# HELP farm_runs_total Runs executed.
+# TYPE farm_runs_total counter
+farm_runs_total 4
 # HELP farm_workers Worker goroutines.
 # TYPE farm_workers gauge
 farm_workers 8

@@ -50,9 +50,23 @@ start_server() { # port [server flags...]; sets SRV and URL
   exit 1
 }
 
-drain() { # SIGTERM must drain and exit 0
+# Every phase's drain finishes in under a second (measured on 2 cores); one
+# that outlasts DRAIN_SECS is a hang, so the server is killed and the job
+# fails naming the phase instead of waiting forever.
+DRAIN_SECS=20
+drain() { # phase; SIGTERM must drain and exit 0 within DRAIN_SECS
+  local start=$SECONDS
   kill -TERM "$SRV"
+  while kill -0 "$SRV" 2>/dev/null; do
+    if [ $((SECONDS - start)) -ge "$DRAIN_SECS" ]; then
+      kill -9 "$SRV" 2>/dev/null || true
+      echo "$1: server still draining ${DRAIN_SECS}s after SIGTERM; killed it" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
   wait "$SRV"
+  echo "$1: drained in $((SECONDS - start))s"
 }
 
 campaign() { # out-file
@@ -86,13 +100,13 @@ CODE=$(curl -sS -o "$RES" -w '%{http_code}' -X POST "$URL/v1/jobs" \
   -d '{"workload": "square", "chiplets": 17}')
 [ "$CODE" = 400 ] || { echo "17-chiplet submit: $CODE"; cat "$RES"; exit 1; }
 curl -fsS "$URL/v1/stats"
-drain
+drain "phase 1 (api)"
 echo "api checks passed; drained"
 
 # --- phase 2: one-node cold campaign over a fresh store ----------------------
 start_server 8322 -store "$STORE"
 campaign "$SCRATCH/one_node.json"
-drain
+drain "phase 2 (cold campaign)"
 # Every submit the server answered is one of: a simulation, a farm cache,
 # store or dedup hit, an LRU answer, or a join onto a queued/running job.
 ANSWERED=$(jq '.runs + .store_hits + .cache_hits + .dedup_waits + .lru_answers + .joins' "$SCRATCH/one_node.json")
@@ -104,7 +118,7 @@ echo "cold campaign: all $SUBMITS submits accounted for"
 # --- phase 3: a fresh server over the same store -----------------------------
 start_server 8323 -store "$STORE"
 campaign "$SCRATCH/restart.json"
-drain
+drain "phase 3 (restart from store)"
 RUNS=$(jq -r .runs "$SCRATCH/restart.json")
 LRU=$(jq -r .lru_answers "$SCRATCH/restart.json")
 [ "$RUNS" = 0 ] || { echo "restart campaign re-simulated $RUNS jobs; the store should serve all" >&2; exit 1; }
@@ -119,7 +133,7 @@ echo "corrupted $VICTIM"
 start_server 8324 -store "$STORE"
 campaign "$SCRATCH/corrupt.json"
 CORRUPT=$(curl -fsS "$URL/metrics" | awk '$1 == "store_corrupt_total" { print $2 }')
-drain
+drain "phase 4 (corrupt store)"
 QUARANTINED=$(find "$STORE/quarantine" -name '*.json' 2>/dev/null | wc -l)
 RUNS=$(jq -r .runs "$SCRATCH/corrupt.json")
 [ "${CORRUPT:-0}" = "$QUARANTINED" ] || {
