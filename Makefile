@@ -11,10 +11,10 @@ test:
 	$(GO) test ./...
 
 # The concurrency-heavy packages under the race detector, mirroring CI: the
-# farm's single-flight dedup and backpressure, the event engine the whole
-# simulation core schedules through, and the HTTP server's drain path.
+# farm's single-flight dedup and backpressure, and the HTTP server's drain
+# path.
 race:
-	$(GO) test -race -count=1 -timeout 15m ./internal/farm/... ./internal/event/... ./internal/server/...
+	$(GO) test -race -count=1 -timeout 15m ./internal/farm/... ./internal/server/...
 
 # lint = the repo's static gates: cpelint's three passes (DESIGN §12), go
 # vet, and gofmt. staticcheck needs the network to install; CI installs it

@@ -1,11 +1,13 @@
 // Command crosscheck runs the differential correctness campaign: seeded
-// random kernel DAGs (internal/gen) executed under Baseline, CPElide, HMG
-// and HMG-WB, each run checked three ways —
+// random kernel DAGs (internal/gen) executed under Baseline, CPElide,
+// CPElide with range operations, HMG and HMG-WB, each run checked three
+// ways —
 //
 //  1. the golden-model consistency oracle (internal/oracle) must find no
 //     memory-model violation given the sync operations the CP issued,
-//  2. the final memory image must be byte-identical across all protocols,
-//  3. CPElide's per-boundary sync operations must be a subset of Baseline's.
+//  2. the final memory image must be byte-identical across all variants,
+//  3. each CPElide variant's per-boundary sync operations must be a subset
+//     of Baseline's.
 //
 // Mutation mode (-mutate drop-acquire|drop-release|wrong-chiplet|all)
 // deliberately weakens the CP under CPElide and asserts the oracle catches
@@ -31,11 +33,17 @@ import (
 	"repro/internal/gen"
 )
 
-var protocols = []cpelide.Protocol{
-	cpelide.ProtocolBaseline,
-	cpelide.ProtocolCPElide,
-	cpelide.ProtocolHMG,
-	cpelide.ProtocolHMGWriteBack,
+// variants are the runs of every DAG; Baseline comes first, as the
+// reference image and op sets the others are held to.
+var variants = []struct {
+	name string
+	opt  cpelide.Options
+}{
+	{"Baseline", cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
+	{"CPElide", cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
+	{"CPElide+RangeOps", cpelide.Options{Protocol: cpelide.ProtocolCPElide, CPElideRangeOps: true}},
+	{"HMG", cpelide.Options{Protocol: cpelide.ProtocolHMG}},
+	{"HMG-WB", cpelide.Options{Protocol: cpelide.ProtocolHMGWriteBack}},
 }
 
 type protocolStats struct {
@@ -144,9 +152,9 @@ func runCampaign(n int, seed uint64, chiplets int, verbose bool) *campaignReport
 		DAGs:       n,
 		ByProtocol: map[string]*protocolStats{},
 	}
-	for _, p := range protocols {
-		cr.Protocols = append(cr.Protocols, p.String())
-		cr.ByProtocol[p.String()] = &protocolStats{}
+	for _, v := range variants {
+		cr.Protocols = append(cr.Protocols, v.name)
+		cr.ByProtocol[v.name] = &protocolStats{}
 	}
 	fail := func(format string, args ...any) {
 		cr.Failures = append(cr.Failures, fmt.Sprintf(format, args...))
@@ -159,56 +167,50 @@ func runCampaign(n int, seed uint64, chiplets int, verbose bool) *campaignReport
 		cr.Edges.WAR += c.Edges.WAR
 		cr.Edges.WAW += c.Edges.WAW
 		var baseHash uint64
-		var baseOracle, elideOracle *cpelide.Oracle
-		for _, p := range protocols {
-			o := cpelide.NewOracle(p)
-			r, err := cpelide.RunStreams(cpelide.DefaultConfig(chiplets), c.Specs, cpelide.Options{
-				Protocol:  p,
-				Placement: c.Placement,
-				Oracle:    o,
-			})
+		var baseOracle *cpelide.Oracle
+		for _, v := range variants {
+			o := cpelide.NewOracle(v.opt.Protocol)
+			opt := v.opt
+			opt.Placement, opt.Oracle = c.Placement, o
+			r, err := cpelide.RunStreams(cpelide.DefaultConfig(chiplets), c.Specs, opt)
 			if err != nil {
-				fail("%s / %v: %v", c.Name, p, err)
+				fail("%s / %s: %v", c.Name, v.name, err)
 				continue
 			}
-			ps := cr.ByProtocol[p.String()]
+			ps := cr.ByProtocol[v.name]
 			ps.Runs++
 			ps.StaleReads += r.StaleReads
 			ps.SyncOps += uint64(r.Oracle.SyncOps)
 			ps.OracleViolations += o.Violations()
 			if err := o.Err(); err != nil {
-				fail("%s / %v: %v", c.Name, p, err)
+				fail("%s / %s: %v", c.Name, v.name, err)
 			}
 			if r.StaleReads > 0 {
-				fail("%s / %v: %d stale reads", c.Name, p, r.StaleReads)
+				fail("%s / %s: %d stale reads", c.Name, v.name, r.StaleReads)
 			}
-			switch p {
-			case cpelide.ProtocolBaseline:
-				baseHash = r.ImageHash
-				baseOracle = o
-			default:
-				if r.ImageHash != baseHash {
-					cr.ImageDivergences++
-					fail("%s: %v memory image %#x diverges from Baseline %#x",
-						c.Name, p, r.ImageHash, baseHash)
-				}
+			if v.opt.Protocol == cpelide.ProtocolBaseline {
+				baseHash, baseOracle = r.ImageHash, o
+				continue
 			}
-			if p == cpelide.ProtocolCPElide {
-				elideOracle = o
+			if r.ImageHash != baseHash {
+				cr.ImageDivergences++
+				fail("%s: %s memory image %#x diverges from Baseline %#x",
+					c.Name, v.name, r.ImageHash, baseHash)
 			}
-		}
-		if baseOracle != nil && elideOracle != nil {
-			if broken := elideOracle.SubsetOf(baseOracle); len(broken) > 0 {
+			if v.opt.Protocol != cpelide.ProtocolCPElide || baseOracle == nil {
+				continue
+			}
+			if broken := o.SubsetOf(baseOracle); len(broken) > 0 {
 				cr.SubsetViolations += len(broken)
-				fail("%s: CPElide issued %d boundary op set(s) exceeding Baseline's", c.Name, len(broken))
+				fail("%s: %s issued %d boundary op set(s) exceeding Baseline's", c.Name, v.name, len(broken))
 			}
 		}
 		if verbose {
 			fmt.Printf("dag %d: %d edges ok\n", s, c.Edges.Total())
 		}
 	}
-	if b := cr.ByProtocol[cpelide.ProtocolBaseline.String()]; b != nil && b.SyncOps > 0 {
-		e := cr.ByProtocol[cpelide.ProtocolCPElide.String()]
+	if b := cr.ByProtocol["Baseline"]; b.SyncOps > 0 {
+		e := cr.ByProtocol["CPElide"]
 		cr.ElisionRatio = float64(e.SyncOps) / float64(b.SyncOps)
 	}
 	return cr
@@ -271,7 +273,7 @@ func summarize(rep *report) {
 			c.DAGs, len(c.Protocols), c.Edges.Total(), c.ImageDivergences, c.SubsetViolations, c.ElisionRatio)
 		for _, p := range c.Protocols {
 			ps := c.ByProtocol[p]
-			fmt.Printf("  %-10s runs=%d oracle_violations=%d stale_reads=%d sync_ops=%d\n",
+			fmt.Printf("  %-16s runs=%d oracle_violations=%d stale_reads=%d sync_ops=%d\n",
 				p, ps.Runs, ps.OracleViolations, ps.StaleReads, ps.SyncOps)
 		}
 	}

@@ -313,7 +313,7 @@ type Options struct {
 	// Deprecated: ignored; there is no phase profiler.
 	Profiler any
 
-	// Deprecated: ignored; there is one calendar.
+	// Deprecated: ignored; kept because perfbench sets it.
 	Calendar event.CalendarKind
 }
 

@@ -75,17 +75,17 @@ type RunnerConfig struct {
 	// attaches the delta to each Record (plus the Runner's FinalDelta for
 	// end-of-program activity).
 	PerKernel bool
-	// Ctx, when non-nil, is polled at every kernel boundary: once it is
-	// canceled the runner stops dispatching, drains the event calendar, and
-	// Canceled reports true. Kernels already dispatched complete (the
-	// simulated GPU has no preemption), so cancellation latency is one
-	// kernel span.
+	// Ctx, when non-nil, is polled at every kernel boundary while a launch
+	// is left undispatched: once it is canceled the runner stops
+	// dispatching, Run returns, and Canceled reports true. Kernels already
+	// dispatched complete (the simulated GPU has no preemption), so
+	// cancellation latency is one kernel span.
 	Ctx context.Context
-	// Deprecated: ignored; there is one calendar.
+	// Deprecated: ignored; kept because perfbench sets it.
 	Calendar event.CalendarKind
 }
 
-// Runner owns the global CP's dispatch loop over the event engine.
+// Runner owns the global CP's dispatch loop and the simulation clock.
 type Runner struct {
 	Eng *event.Engine
 	X   *gpu.Executor
@@ -99,8 +99,11 @@ type Runner struct {
 	// program releases, total-cycle accounting) when Cfg.PerKernel is set.
 	FinalDelta *stats.Sheet
 
+	left int // launches not yet dispatched
+	// canceled stops dispatch once Cfg.Ctx is canceled. The protocol's
+	// tracked state is left as it stands: a canceled run yields no report,
+	// and no caller reuses its protocol.
 	canceled bool
-	err      error // first internal failure (e.g. a causality bug); Run returns it
 }
 
 type streamState struct {
@@ -116,7 +119,7 @@ type streamState struct {
 func NewRunner(x *gpu.Executor, specs []StreamSpec, rc RunnerConfig) (*Runner, error) {
 	m := x.M
 	r := &Runner{
-		Eng:         event.New(),
+		Eng:         &event.Engine{},
 		X:           x,
 		Cfg:         rc,
 		chipletBusy: make([]event.Time, m.Cfg.NumChiplets),
@@ -143,10 +146,11 @@ func NewRunner(x *gpu.Executor, specs []StreamSpec, rc RunnerConfig) (*Runner, e
 			}
 			ss.launches = append(ss.launches, l)
 		}
+		r.left += len(ss.launches)
 		r.streams = append(r.streams, ss)
 		prePlace(m, spec.Workload, chs, rc.Placement)
 	}
-	// The engine clocks the recorder so emissions deep in the machine carry
+	// The clock drives the recorder so emissions deep in the machine carry
 	// launch-boundary timestamps without any time plumbing. SetNow is
 	// nil-safe.
 	rec := m.Trace
@@ -250,22 +254,21 @@ func prePlace(m *machine.Machine, w *kernels.Workload, chiplets []int, policy Pa
 }
 
 // Run executes all streams to completion and returns the total cycle count
-// (including the end-of-program releases). A non-nil error reports an
-// internal failure (a causality bug surfaced by the event engine); the
-// returned cycle count is then meaningless.
+// (including the end-of-program releases). The global CP wakes at time 0
+// and then at each kernel completion: after a dispatch, the next wake is the
+// earliest stream completion after now, and the run ends when there is none
+// or Cfg.Ctx is canceled. The error is always nil.
 func (r *Runner) Run() (uint64, error) {
-	if err := r.Eng.Schedule(0, event.HandlerFunc(r.dispatch), nil); err != nil {
-		return 0, err
-	}
-	end := r.Eng.Run()
-	if r.err != nil {
-		return 0, r.err
+	for now, more := event.Time(0), true; more && !r.canceled; {
+		r.Eng.Advance(now)
+		r.dispatch(now)
+		now, more = r.nextWake(now)
 	}
 	var pre *stats.Sheet
 	if r.Cfg.PerKernel {
 		pre = r.X.M.Sheet.Clone()
 	}
-	total := uint64(end) + r.X.Finalize()
+	total := uint64(r.Eng.Now()) + r.X.Finalize()
 	r.X.M.Sheet.Set(stats.TotalCycles, total)
 	if r.Cfg.PerKernel {
 		r.FinalDelta = r.X.M.Sheet.DeltaFrom(pre)
@@ -273,20 +276,17 @@ func (r *Runner) Run() (uint64, error) {
 	return total, nil
 }
 
-// fail records the first internal error and stops the event loop.
-func (r *Runner) fail(err error) {
-	if r.err == nil {
-		r.err = err
+// nextWake returns the earliest stream completion after now; ok is false
+// when every stream has completed by now. A stream issues only once its
+// previous kernel has completed, so its latest completion is its only
+// future wake.
+func (r *Runner) nextWake(now event.Time) (next event.Time, ok bool) {
+	for _, ss := range r.streams {
+		if ss.prevEnd > now && (!ok || ss.prevEnd < next) {
+			next, ok = ss.prevEnd, true
+		}
 	}
-	r.Eng.Stop()
-}
-
-// cancelRun stops dispatching because Cfg.Ctx was canceled. The protocol's
-// tracked state is left as it stands: a canceled run yields no report, and
-// no caller reuses its protocol.
-func (r *Runner) cancelRun() {
-	r.canceled = true
-	r.Eng.Stop()
+	return next, ok
 }
 
 // Canceled reports whether the run was stopped early because Cfg.Ctx was
@@ -306,18 +306,18 @@ func (r *Runner) ctxDone() bool {
 	}
 }
 
-// dispatch issues every stream whose head kernel is ready at the current
-// time, then relies on completion events to re-trigger.
-func (r *Runner) dispatch(event.Event) {
-	now := r.Eng.Now()
-	if r.ctxDone() {
-		r.cancelRun()
+// dispatch issues every stream whose head kernel is ready at now. Issuing
+// only moves a stream or chiplet from ready to busy (its completion is at
+// or after now), so one pass leaves nothing ready at now.
+func (r *Runner) dispatch(now event.Time) {
+	if r.left > 0 && r.ctxDone() {
+		r.canceled = true
 		return
 	}
 	for _, ss := range r.streams {
 		for ss.next < len(ss.launches) && r.ready(ss, now) {
 			if r.ctxDone() {
-				r.cancelRun()
+				r.canceled = true
 				return
 			}
 			l := ss.launches[ss.next]
@@ -348,11 +348,8 @@ func (r *Runner) dispatch(event.Event) {
 				r.chipletBusy[c] = endT
 			}
 			ss.next++
+			r.left--
 			if endT > now {
-				if err := r.Eng.Schedule(endT, event.HandlerFunc(r.dispatch), nil); err != nil {
-					r.fail(err)
-					return
-				}
 				break // later kernels of this stream wait for completion
 			}
 		}

@@ -291,11 +291,10 @@ func TestPlacementPolicies(t *testing.T) {
 	}
 }
 
-// pollCancelCtx is a deterministic mid-run cancellation source: it reports
+// pollCancelCtx is a deterministic cancellation source: it reports
 // not-canceled for the first polls-1 Done() calls and canceled from the
-// polls-th call onward. The runner polls once at dispatch entry and once
-// before every kernel launch, so the cancel lands between two kernels of a
-// live run, never before it starts or after it ends.
+// polls-th call onward. While a launch is left undispatched, the runner
+// polls once at each wake and once before every kernel launch.
 type pollCancelCtx struct {
 	context.Context
 	polls  int
@@ -320,33 +319,41 @@ func (c *pollCancelCtx) Err() error {
 
 // TestCancelMidRun checks that a cancellation landing between two kernels
 // of a live run stops dispatch there: the runner reports the cancel and
-// keeps the records of the kernels that ran.
+// keeps the records of the kernels that ran. A cancel that lands only after
+// the last kernel has dispatched (poll 2n+1 of an n-kernel stream) is not
+// a cancel: the run completes with every record.
 func TestCancelMidRun(t *testing.T) {
-	bounds := mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 8<<20}
-	m := must(machine.New(smallCfg(), bounds, stats.New()))
-	proto, err := core.New(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := gpu.New(m, proto, 1)
-	ctx := &pollCancelCtx{Context: context.Background(), polls: 4, closed: make(chan struct{})}
-	close(ctx.closed)
-	r, err := NewRunner(x, []StreamSpec{{Workload: buildWorkload("w", 8)}},
-		RunnerConfig{RangeInfo: true, Ctx: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Canceled() {
-		t.Fatal("runner did not observe the cancellation")
-	}
-	if len(r.Records) == 0 {
-		t.Fatal("cancel landed before any kernel ran; the fixture must cancel mid-run")
-	}
-	if len(r.Records) == 8 {
-		t.Fatal("cancel landed after the run completed; the fixture must cancel mid-run")
+	const n = 8
+	for _, tc := range []struct {
+		polls    int
+		canceled bool
+	}{{polls: 4, canceled: true}, {polls: 2*n + 1, canceled: false}} {
+		bounds := mem.Range{Lo: 0x1000_0000, Hi: 0x1000_0000 + 8<<20}
+		m := must(machine.New(smallCfg(), bounds, stats.New()))
+		proto, err := core.New(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := gpu.New(m, proto, 1)
+		ctx := &pollCancelCtx{Context: context.Background(), polls: tc.polls, closed: make(chan struct{})}
+		close(ctx.closed)
+		r, err := NewRunner(x, []StreamSpec{{Workload: buildWorkload("w", n)}},
+			RunnerConfig{RangeInfo: true, Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if r.Canceled() != tc.canceled {
+			t.Fatalf("polls %d: Canceled() = %v, want %v", tc.polls, r.Canceled(), tc.canceled)
+		}
+		if tc.canceled && (len(r.Records) == 0 || len(r.Records) == n) {
+			t.Fatalf("polls %d: %d of %d records; the fixture must cancel mid-run", tc.polls, len(r.Records), n)
+		}
+		if !tc.canceled && len(r.Records) != n {
+			t.Fatalf("polls %d: %d of %d records", tc.polls, len(r.Records), n)
+		}
 	}
 }
 

@@ -37,15 +37,14 @@ job_test() {
   go test -race -short -timeout 20m ./...
   # The concurrency-heavy packages always run under the race detector
   # without -short: single-flight dedup, burst backpressure, drain, the held
-  # result fetch (TestResultHeldUntilTerminal), and the event engine the
-  # whole simulation core schedules through.
-  go test -race -count=1 -timeout 15m ./internal/farm/... ./internal/event/... ./internal/server/...
+  # result fetch (TestResultHeldUntilTerminal).
+  go test -race -count=1 -timeout 15m ./internal/farm/... ./internal/server/...
   # The generated-DAG report lock (testdata/report_digests.json), the
-  # 500-DAG calendar-drain test, and the machine-reuse equivalence tests
+  # 500-DAG every-launch-dispatched test, and the machine-reuse equivalence tests
   # (fresh vs reused machine, and four concurrent callers under a lease
   # check) under the race detector.
   go test -race -count=1 -timeout 15m -run 'TestGeneratedDAGReports|TestMachineReuse' .
-  go test -race -count=1 -timeout 15m -run TestRunDrainsCalendar ./internal/cp/
+  go test -race -count=1 -timeout 15m -run TestRunDispatchesEveryLaunch ./internal/cp/
 }
 
 # One SHA-256 per simulated run of the reduced-scale paper matrix (912 runs),
