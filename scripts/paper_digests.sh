@@ -44,7 +44,14 @@ if cmp -s "$WANT" "$TMP/got.json"; then
 		echo "paper figures: stdout matches $FIGS"
 		exit 0
 	fi
-	echo "paper figures: stdout differs from $FIGS (every run matches, so a figure is built differently):"
+	echo "paper figures: stdout differs from $FIGS (every run matches, so a figure is built differently) in:"
+	# Name the figure and row (or summary) of each changed hunk of $FIGS.
+	diff "$FIGS" "$TMP/figures.json" | sed -n 's/^\([0-9]*\)[0-9,]*[acd].*/\1/p' >"$TMP/lines.txt" || true
+	awk 'NR == FNR { at[$1] = 1; next }
+		/"Title":/ { title = $0; sub(/^ *"Title": /, "", title); sub(/,$/, "", title); row = "" }
+		/"Workload":/ { row = $0; sub(/^ *"Workload": /, "", row); sub(/,$/, "", row) }
+		/"Summary":/ { row = "summary" }
+		FNR in at { print "  " title " " row }' "$TMP/lines.txt" "$FIGS" | uniq | head -20
 	diff -u "$FIGS" "$TMP/figures.json" | head -40 || true
 	echo "If the change is intended, re-bless with: bash scripts/paper_digests.sh --update"
 	exit 1
