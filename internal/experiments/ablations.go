@@ -12,83 +12,44 @@ import (
 // write-back variant 13% worse geomean, which is why the evaluation uses
 // write-through).
 func HMGWriteBack(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Ablation: HMG write-back L2 variant (speedup vs write-through HMG)",
-		Series:  []string{"WB-vs-WT"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "wt", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolHMG}},
-		{key: "wb", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolHMGWriteBack}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values:   map[string]float64{"WB-vs-WT": m[name]["wb"].Speedup(m[name]["wt"])},
-		})
-	}
-	summarize(res, "WB-vs-WT")
-	return res, nil
+	return study{
+		title: "Ablation: HMG write-back L2 variant (speedup vs write-through HMG)",
+		variants: []variant{
+			at4("wt", cpelide.Options{Protocol: cpelide.ProtocolHMG}),
+			at4("wb", cpelide.Options{Protocol: cpelide.ProtocolHMGWriteBack}),
+		},
+		columns: []column{speedup("WB-vs-WT", "wb", "wt")},
+		summary: []string{"WB-vs-WT"},
+	}.run(p)
 }
 
 // RangeOps measures the Section VI fine-grained hardware range-flush
 // extension: operations target only the tracked address ranges instead of
 // whole L2s.
 func RangeOps(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Ablation: fine-grained range-based flush/invalidate (speedup vs default CPElide)",
-		Series:  []string{"range-ops"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "def", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "rng", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, CPElideRangeOps: true}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values:   map[string]float64{"range-ops": m[name]["rng"].Speedup(m[name]["def"])},
-		})
-	}
-	summarize(res, "range-ops")
-	return res, nil
+	return study{
+		title: "Ablation: fine-grained range-based flush/invalidate (speedup vs default CPElide)",
+		variants: []variant{
+			at4("def", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+			at4("rng", cpelide.Options{Protocol: cpelide.ProtocolCPElide, CPElideRangeOps: true}),
+		},
+		columns: []column{speedup("range-ops", "rng", "def")},
+		summary: []string{"range-ops"},
+	}.run(p)
 }
 
 // AnnotationGranularity measures hipSetAccessMode-only annotations (modes
 // without address ranges) against the full hipSetAccessModeRange metadata.
 func AnnotationGranularity(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Ablation: hipSetAccessMode only (no ranges) vs hipSetAccessModeRange (speedup)",
-		Series:  []string{"mode-only"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "full", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "mode", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, NoRangeInfo: true}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values:   map[string]float64{"mode-only": m[name]["mode"].Speedup(m[name]["full"])},
-		})
-	}
-	summarize(res, "mode-only")
-	return res, nil
+	return study{
+		title: "Ablation: hipSetAccessMode only (no ranges) vs hipSetAccessModeRange (speedup)",
+		variants: []variant{
+			at4("full", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+			at4("mode", cpelide.Options{Protocol: cpelide.ProtocolCPElide, NoRangeInfo: true}),
+		},
+		columns: []column{speedup("mode-only", "mode", "full")},
+		summary: []string{"mode-only"},
+	}.run(p)
 }
 
 // TableSize sweeps the Chiplet Coherence Table capacity. The paper sizes it
@@ -98,68 +59,35 @@ func TableSize(p Params, entries ...int) (*Result, error) {
 	if len(entries) == 0 {
 		entries = []int{4, 8, 16, 64}
 	}
-	series := make([]string, len(entries))
-	vars := []variant{{key: "ref", cfg: cpelide.DefaultConfig(4), opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}}}
-	for i, e := range entries {
-		series[i] = fmt.Sprintf("entries=%d", e)
-		vars = append(vars, variant{
-			key: series[i],
-			cfg: cpelide.DefaultConfig(4),
-			opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, CPElideTableEntries: e},
-		})
+	s := study{
+		title:    "Ablation: Chiplet Coherence Table capacity (speedup vs 64 entries)",
+		variants: []variant{at4("ref", cpelide.Options{Protocol: cpelide.ProtocolCPElide})},
 	}
-	res := &Result{
-		Title:   "Ablation: Chiplet Coherence Table capacity (speedup vs 64 entries)",
-		Series:  append(series, "peak-use"),
-		Summary: map[string]float64{},
+	for _, e := range entries {
+		name := fmt.Sprintf("entries=%d", e)
+		s.variants = append(s.variants, at4(name, cpelide.Options{Protocol: cpelide.ProtocolCPElide, CPElideTableEntries: e}))
+		s.columns = append(s.columns, speedup(name, name, "ref"))
+		s.summary = append(s.summary, name)
 	}
-	m, err := runMatrix(p, vars)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		ref := m[name]["ref"]
-		row := Row{Workload: name, Class: classOf(name), Values: map[string]float64{
-			"peak-use": float64(ref.Sheet.Get(stats.TablePeakUse)),
-		}}
-		for _, s := range series {
-			row.Values[s] = m[name][s].Speedup(ref)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	summarize(res, series...)
-	return res, nil
+	s.columns = append(s.columns, counter("peak-use", "ref", stats.TablePeakUse))
+	return s.run(p)
 }
 
 // DirGranularity compares HMG's 4-lines-per-directory-entry configuration
 // against 1 line per entry (precision vs reach), the design choice the
 // paper blames for HMG's extra invalidations.
 func DirGranularity(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Ablation: HMG directory granularity, 1 line/entry vs 4 (speedup)",
-		Series:  []string{"1-line-entries", "dir-evictions-4", "dir-evictions-1"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "four", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolHMG}},
-		{key: "one", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolHMG, HMGDirLinesPerEntry: 1}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		four, one := m[name]["four"], m[name]["one"]
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"1-line-entries":  one.Speedup(four),
-				"dir-evictions-4": float64(four.Sheet.Get(stats.DirEvictions)),
-				"dir-evictions-1": float64(one.Sheet.Get(stats.DirEvictions)),
-			},
-		})
-	}
-	summarize(res, "1-line-entries")
-	return res, nil
+	return study{
+		title: "Ablation: HMG directory granularity, 1 line/entry vs 4 (speedup)",
+		variants: []variant{
+			at4("four", cpelide.Options{Protocol: cpelide.ProtocolHMG}),
+			at4("one", cpelide.Options{Protocol: cpelide.ProtocolHMG, HMGDirLinesPerEntry: 1}),
+		},
+		columns: []column{
+			speedup("1-line-entries", "one", "four"),
+			counter("dir-evictions-4", "four", stats.DirEvictions),
+			counter("dir-evictions-1", "one", stats.DirEvictions),
+		},
+		summary: []string{"1-line-entries"},
+	}.run(p)
 }

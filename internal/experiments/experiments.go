@@ -5,6 +5,11 @@
 // Section VI chiplet-scaling and multi-stream studies, and the ablations
 // DESIGN.md calls out.
 //
+// Every one of them is a study: a table of variants run on every workload,
+// columns computed from one workload's reports, and the series whose
+// geometric means summarize it. study.run is the one function that runs a
+// study and builds its Result.
+//
 // The package lives below the public facade so both the paper-figures
 // command and the benchmark suite can drive identical experiment code.
 // Every experiment fans its simulation points out across an internal/farm
@@ -141,67 +146,76 @@ func summarize(res *Result, series ...string) {
 	}
 }
 
-// Figure2 reproduces the motivation figure: performance loss of the
-// 4-chiplet baseline versus the equivalent (infeasible) monolithic GPU,
-// reported as slowdown (monolithic time = 1.0; the paper reports an average
-// loss of ~54%, prior work 29-45%).
-func Figure2(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Figure 2: 4-chiplet baseline slowdown vs equivalent monolithic GPU",
-		Series:  []string{"slowdown"},
-		Summary: map[string]float64{},
-	}
-	m, err := runMatrix(p, []variant{
-		{key: "mono", cfg: cpelide.MonolithicConfig(4), opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
-		{key: "chip", cfg: cpelide.DefaultConfig(4), opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
-	})
+// study is one table of the evaluation: every workload runs under each
+// variant, and each column computes the workload's value from its reports.
+// The summary series get geometric means (see summarize).
+type study struct {
+	title    string
+	variants []variant
+	columns  []column
+	summary  []string
+}
+
+// column is one series of a study: its name and its value for one
+// workload, computed from that workload's reports.
+type column struct {
+	name string
+	val  func(r reports) float64
+}
+
+// reports holds one workload's reports, keyed by variant.
+type reports = map[string]*cpelide.Report
+
+// run simulates the study's matrix and builds its Result: one row per
+// workload in p.names() order, then the summary.
+func (s study) run(p Params) (*Result, error) {
+	m, err := runMatrix(p, s.variants)
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range p.names() {
-		r := m[name]
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values:   map[string]float64{"slowdown": float64(r["chip"].Cycles) / float64(r["mono"].Cycles)},
-		})
+	res := &Result{Title: s.title, Summary: map[string]float64{}}
+	for _, c := range s.columns {
+		res.Series = append(res.Series, c.name)
 	}
-	summarize(res, "slowdown")
+	for _, name := range p.names() {
+		row := Row{Workload: name, Class: classOf(name), Values: make(map[string]float64, len(s.columns))}
+		for _, c := range s.columns {
+			row.Values[c.name] = c.val(m[name])
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	summarize(res, s.summary...)
 	return res, nil
 }
 
-// Figure8 reproduces the main performance figure: CPElide's and HMG's
-// speedups over the baseline for each chiplet count.
-func Figure8(p Params, chiplets ...int) (map[int]*Result, error) {
-	if len(chiplets) == 0 {
-		chiplets = []int{2, 4, 6, 7}
+// speedup is the column of variant v's speedup over variant ref.
+func speedup(name, v, ref string) column {
+	return column{name, func(r reports) float64 { return r[v].Speedup(r[ref]) }}
+}
+
+// ratio is the column of f on variant v's report over f on ref's (0 when
+// ref's is 0).
+func ratio(name, v, ref string, f func(*cpelide.Report) float64) column {
+	return column{name, func(r reports) float64 { return ratioOrZero(f(r[v]), f(r[ref])) }}
+}
+
+// counter is the column of one counter of variant v's report.
+func counter(name, v string, c stats.Counter) column {
+	return column{name, func(r reports) float64 { return float64(r[v].Sheet.Get(c)) }}
+}
+
+func cycles(r *cpelide.Report) float64 { return float64(r.Cycles) }
+
+func ratioOrZero(a, b float64) float64 {
+	if b == 0 {
+		return 0
 	}
-	out := make(map[int]*Result, len(chiplets))
-	for _, n := range chiplets {
-		res := &Result{
-			Title:   fmt.Sprintf("Figure 8: speedup over Baseline, %d chiplets", n),
-			Series:  []string{"CPElide", "HMG"},
-			Summary: map[string]float64{},
-		}
-		m, err := runMatrix(p, protocolVariants(cpelide.DefaultConfig(n)))
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range p.names() {
-			r := m[name]
-			res.Rows = append(res.Rows, Row{
-				Workload: name,
-				Class:    classOf(name),
-				Values: map[string]float64{
-					"CPElide": r["elide"].Speedup(r["base"]),
-					"HMG":     r["hmg"].Speedup(r["base"]),
-				},
-			})
-		}
-		summarize(res, "CPElide", "HMG")
-		out[n] = res
-	}
-	return out, nil
+	return a / b
+}
+
+// at4 is a variant on the default 4-chiplet machine.
+func at4(key string, opt cpelide.Options) variant {
+	return variant{key: key, cfg: cpelide.DefaultConfig(4), opt: opt}
 }
 
 // protocolVariants is the Baseline/CPElide/HMG column set most figures
@@ -214,122 +228,111 @@ func protocolVariants(cfg cpelide.Config) []variant {
 	}
 }
 
+// Figure2 reproduces the motivation figure: performance loss of the
+// 4-chiplet baseline versus the equivalent (infeasible) monolithic GPU,
+// reported as slowdown (monolithic time = 1.0; the paper reports an average
+// loss of ~54%, prior work 29-45%).
+func Figure2(p Params) (*Result, error) {
+	base := cpelide.Options{Protocol: cpelide.ProtocolBaseline}
+	return study{
+		title: "Figure 2: 4-chiplet baseline slowdown vs equivalent monolithic GPU",
+		variants: []variant{
+			{key: "mono", cfg: cpelide.MonolithicConfig(4), opt: base},
+			at4("chip", base),
+		},
+		columns: []column{ratio("slowdown", "chip", "mono", cycles)},
+		summary: []string{"slowdown"},
+	}.run(p)
+}
+
+// Figure8 reproduces the main performance figure: CPElide's and HMG's
+// speedups over the baseline for each chiplet count.
+func Figure8(p Params, chiplets ...int) (map[int]*Result, error) {
+	if len(chiplets) == 0 {
+		chiplets = []int{2, 4, 6, 7}
+	}
+	out := make(map[int]*Result, len(chiplets))
+	for _, n := range chiplets {
+		res, err := study{
+			title:    fmt.Sprintf("Figure 8: speedup over Baseline, %d chiplets", n),
+			variants: protocolVariants(cpelide.DefaultConfig(n)),
+			columns:  []column{speedup("CPElide", "elide", "base"), speedup("HMG", "hmg", "base")},
+			summary:  []string{"CPElide", "HMG"},
+		}.run(p)
+		if err != nil {
+			return nil, err
+		}
+		out[n] = res
+	}
+	return out, nil
+}
+
 // Figure9 reproduces the 4-chiplet memory-subsystem energy figure: each
 // protocol's energy normalized to the baseline, with the component
 // breakdown (L1, LDS, L2, NoC, DRAM).
 func Figure9(p Params) (*Result, error) {
-	res := &Result{
-		Title: "Figure 9: 4-chiplet memory-subsystem energy, normalized to Baseline",
-		Series: []string{
-			"CPElide", "HMG",
-			"C.L1", "C.LDS", "C.L2", "C.NoC", "C.DRAM",
-			"H.NoC", "H.DRAM",
+	total := func(r *cpelide.Report) float64 { return r.Energy.Total() }
+	return study{
+		title:    "Figure 9: 4-chiplet memory-subsystem energy, normalized to Baseline",
+		variants: protocolVariants(cpelide.DefaultConfig(4)),
+		columns: []column{
+			ratio("CPElide", "elide", "base", total),
+			ratio("HMG", "hmg", "base", total),
+			ratio("C.L1", "elide", "base", func(r *cpelide.Report) float64 { return r.Energy.L1 }),
+			ratio("C.LDS", "elide", "base", func(r *cpelide.Report) float64 { return r.Energy.LDS }),
+			ratio("C.L2", "elide", "base", func(r *cpelide.Report) float64 { return r.Energy.L2 }),
+			ratio("C.NoC", "elide", "base", func(r *cpelide.Report) float64 { return r.Energy.NoC }),
+			ratio("C.DRAM", "elide", "base", func(r *cpelide.Report) float64 { return r.Energy.DRAM }),
+			ratio("H.NoC", "hmg", "base", func(r *cpelide.Report) float64 { return r.Energy.NoC }),
+			ratio("H.DRAM", "hmg", "base", func(r *cpelide.Report) float64 { return r.Energy.DRAM }),
 		},
-		Summary: map[string]float64{},
-	}
-	m, err := runMatrix(p, protocolVariants(cpelide.DefaultConfig(4)))
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		base, elide, hmg := m[name]["base"], m[name]["elide"], m[name]["hmg"]
-		bt := base.Energy.Total()
-		row := Row{Workload: name, Class: classOf(name), Values: map[string]float64{
-			"CPElide": elide.Energy.Total() / bt,
-			"HMG":     hmg.Energy.Total() / bt,
-			"C.L1":    ratioOrZero(elide.Energy.L1, base.Energy.L1),
-			"C.LDS":   ratioOrZero(elide.Energy.LDS, base.Energy.LDS),
-			"C.L2":    ratioOrZero(elide.Energy.L2, base.Energy.L2),
-			"C.NoC":   ratioOrZero(elide.Energy.NoC, base.Energy.NoC),
-			"C.DRAM":  ratioOrZero(elide.Energy.DRAM, base.Energy.DRAM),
-			"H.NoC":   ratioOrZero(hmg.Energy.NoC, base.Energy.NoC),
-			"H.DRAM":  ratioOrZero(hmg.Energy.DRAM, base.Energy.DRAM),
-		}}
-		res.Rows = append(res.Rows, row)
-	}
-	summarize(res, "CPElide", "HMG")
-	return res, nil
-}
-
-func ratioOrZero(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
+		summary: []string{"CPElide", "HMG"},
+	}.run(p)
 }
 
 // Figure10 reproduces the 4-chiplet interconnect-traffic figure: total
 // flits normalized to the baseline plus the class breakdown (L1-L2, L2-L3,
 // remote) as fractions of the baseline total.
 func Figure10(p Params) (*Result, error) {
-	res := &Result{
-		Title: "Figure 10: 4-chiplet interconnect traffic (flits), normalized to Baseline",
-		Series: []string{
-			"CPElide", "HMG",
-			"C.l1l2", "C.l2l3", "C.remote",
-			"H.l1l2", "H.l2l3", "H.remote",
+	// share is the column of variant v's flits, as f counts them, over the
+	// baseline's total.
+	share := func(name, v string, f func(*cpelide.Report) uint64) column {
+		return column{name, func(r reports) float64 { return float64(f(r[v])) / float64(r["base"].TotalFlits()) }}
+	}
+	class := func(c stats.Counter) func(*cpelide.Report) uint64 {
+		return func(r *cpelide.Report) uint64 { return r.Sheet.Get(c) }
+	}
+	total := (*cpelide.Report).TotalFlits
+	return study{
+		title:    "Figure 10: 4-chiplet interconnect traffic (flits), normalized to Baseline",
+		variants: protocolVariants(cpelide.DefaultConfig(4)),
+		columns: []column{
+			share("CPElide", "elide", total),
+			share("HMG", "hmg", total),
+			share("C.l1l2", "elide", class(stats.FlitsL1L2)),
+			share("C.l2l3", "elide", class(stats.FlitsL2L3)),
+			share("C.remote", "elide", class(stats.FlitsRemote)),
+			share("H.l1l2", "hmg", class(stats.FlitsL1L2)),
+			share("H.l2l3", "hmg", class(stats.FlitsL2L3)),
+			share("H.remote", "hmg", class(stats.FlitsRemote)),
 		},
-		Summary: map[string]float64{},
-	}
-	m, err := runMatrix(p, protocolVariants(cpelide.DefaultConfig(4)))
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		base, elide, hmg := m[name]["base"], m[name]["elide"], m[name]["hmg"]
-		bt := float64(base.TotalFlits())
-		c1, c2, c3 := elide.Flits()
-		h1, h2, h3 := hmg.Flits()
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"CPElide":  float64(elide.TotalFlits()) / bt,
-				"HMG":      float64(hmg.TotalFlits()) / bt,
-				"C.l1l2":   float64(c1) / bt,
-				"C.l2l3":   float64(c2) / bt,
-				"C.remote": float64(c3) / bt,
-				"H.l1l2":   float64(h1) / bt,
-				"H.l2l3":   float64(h2) / bt,
-				"H.remote": float64(h3) / bt,
-			},
-		})
-	}
-	summarize(res, "CPElide", "HMG")
-	return res, nil
+		summary: []string{"CPElide", "HMG"},
+	}.run(p)
 }
 
 // TableII reproduces the workload inventory with the paper's reuse metric:
 // the L2 miss-rate reduction obtained when inter-kernel reuse is preserved
 // (CPElide) versus destroyed (baseline flush+invalidate each boundary).
 func TableII(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Table II: benchmarks and measured inter-kernel reuse (L2 miss-rate reduction)",
-		Series:  []string{"missrate-base", "missrate-elide", "reduction"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "base", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
-		{key: "elide", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		mb := missRate(m[name]["base"])
-		me := missRate(m[name]["elide"])
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"missrate-base":  mb,
-				"missrate-elide": me,
-				"reduction":      mb - me,
-			},
-		})
-	}
-	return res, nil
+	return study{
+		title:    "Table II: benchmarks and measured inter-kernel reuse (L2 miss-rate reduction)",
+		variants: protocolVariants(cpelide.DefaultConfig(4))[:2],
+		columns: []column{
+			{"missrate-base", func(r reports) float64 { return missRate(r["base"]) }},
+			{"missrate-elide", func(r reports) float64 { return missRate(r["elide"]) }},
+			{"reduction", func(r reports) float64 { return missRate(r["base"]) - missRate(r["elide"]) }},
+		},
+	}.run(p)
 }
 
 func missRate(r *cpelide.Report) float64 {
@@ -344,33 +347,16 @@ func missRate(r *cpelide.Report) float64 {
 // with 2 and 4 serialized sets of boundary synchronization latency, mimicking
 // 8- and 16-chiplet systems (the paper reports 1% and 2% average slowdown).
 func ScalingStudy(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Section VI scaling study: slowdown from extra serialized sync sets (CPElide, 4 chiplets)",
-		Series:  []string{"8-chiplet-mimic", "16-chiplet-mimic"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "ref", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "s8", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, SyncLatencySets: 2}},
-		{key: "s16", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, SyncLatencySets: 4}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		r := m[name]
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"8-chiplet-mimic":  float64(r["s8"].Cycles) / float64(r["ref"].Cycles),
-				"16-chiplet-mimic": float64(r["s16"].Cycles) / float64(r["ref"].Cycles),
-			},
-		})
-	}
-	summarize(res, "8-chiplet-mimic", "16-chiplet-mimic")
-	return res, nil
+	return study{
+		title: "Section VI scaling study: slowdown from extra serialized sync sets (CPElide, 4 chiplets)",
+		variants: []variant{
+			at4("ref", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+			at4("s8", cpelide.Options{Protocol: cpelide.ProtocolCPElide, SyncLatencySets: 2}),
+			at4("s16", cpelide.Options{Protocol: cpelide.ProtocolCPElide, SyncLatencySets: 4}),
+		},
+		columns: []column{ratio("8-chiplet-mimic", "s8", "ref", cycles), ratio("16-chiplet-mimic", "s16", "ref", cycles)},
+		summary: []string{"8-chiplet-mimic", "16-chiplet-mimic"},
+	}.run(p)
 }
 
 // MultiStream reproduces the Section VI multi-stream study: two concurrent
@@ -378,37 +364,19 @@ func ScalingStudy(p Params) (*Result, error) {
 // hipSetDevice binding), comparing CPElide against HMG and the baseline.
 // The paper reports CPElide outperforming HMG by ~12% on average.
 func MultiStream(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Section VI multi-stream study: 2 concurrent streams, 4 chiplets (speedup vs Baseline)",
-		Series:  []string{"CPElide", "HMG"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	twoStreams := func(name string) []farm.StreamJob {
-		return []farm.StreamJob{
-			{Workload: name, Chiplets: []int{0, 1}},
-			{Workload: name, Chiplets: []int{2, 3}, Rename: "#2"},
+	vars := protocolVariants(cpelide.DefaultConfig(4))
+	for i := range vars {
+		vars[i].streams = func(name string) []farm.StreamJob {
+			return []farm.StreamJob{
+				{Workload: name, Chiplets: []int{0, 1}},
+				{Workload: name, Chiplets: []int{2, 3}, Rename: "#2"},
+			}
 		}
 	}
-	m, err := runMatrix(p, []variant{
-		{key: "base", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}, streams: twoStreams},
-		{key: "elide", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}, streams: twoStreams},
-		{key: "hmg", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolHMG}, streams: twoStreams},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		r := m[name]
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"CPElide": r["elide"].Speedup(r["base"]),
-				"HMG":     r["hmg"].Speedup(r["base"]),
-			},
-		})
-	}
-	summarize(res, "CPElide", "HMG")
-	return res, nil
+	return study{
+		title:    "Section VI multi-stream study: 2 concurrent streams, 4 chiplets (speedup vs Baseline)",
+		variants: vars,
+		columns:  []column{speedup("CPElide", "elide", "base"), speedup("HMG", "hmg", "base")},
+		summary:  []string{"CPElide", "HMG"},
+	}.run(p)
 }

@@ -7,7 +7,6 @@ import (
 	"repro"
 	"repro/internal/kernels"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 // quick returns parameters that keep experiment tests fast while still
@@ -264,18 +263,14 @@ func TestMGPUStudy(t *testing.T) {
 // comparable (see EXPERIMENTS.md).
 func TestRemoteBankHotBank(t *testing.T) {
 	cfg := cpelide.DefaultConfig(4)
-	wp := workloads.Params{Scale: 0.25, Iters: 30}
-	run := func(p cpelide.Protocol) *cpelide.Report {
-		rep, err := runOne("square", cfg, wp, cpelide.Options{
-			Protocol: p, Placement: cpelide.PlacementSingle,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	m, err := runMatrix(Params{Scale: 0.25, Iters: 30, Workloads: []string{"square"}}, []variant{
+		{key: "rb", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolRemoteBank, Placement: cpelide.PlacementSingle}},
+		{key: "ce", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, Placement: cpelide.PlacementSingle}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rb := run(cpelide.ProtocolRemoteBank)
-	ce := run(cpelide.ProtocolCPElide)
+	rb, ce := m["square"]["rb"], m["square"]["ce"]
 	if ce.Cycles >= rb.Cycles {
 		t.Errorf("hot-bank: CPElide %d cycles not faster than RemoteBank %d",
 			ce.Cycles, rb.Cycles)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro"
+	"repro/internal/farm"
 )
 
 // Extension studies for the alternatives Section VI discusses qualitatively:
@@ -14,28 +15,15 @@ import (
 // performance ... Conversely, CPElide is tightly integrated with the GPU at
 // the global CP").
 func DriverManaged(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Extension: driver-managed synchronization (speedup vs CP-resident CPElide)",
-		Series:  []string{"driver"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "cp", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "drv", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, DriverManaged: true}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values:   map[string]float64{"driver": m[name]["drv"].Speedup(m[name]["cp"])},
-		})
-	}
-	summarize(res, "driver")
-	return res, nil
+	return study{
+		title: "Extension: driver-managed synchronization (speedup vs CP-resident CPElide)",
+		variants: []variant{
+			at4("cp", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+			at4("drv", cpelide.Options{Protocol: cpelide.ProtocolCPElide, DriverManaged: true}),
+		},
+		columns: []column{speedup("driver", "drv", "cp")},
+		summary: []string{"driver"},
+	}.run(p)
 }
 
 // PagePlacement compares the paper's first-touch policy against interleaved
@@ -43,33 +31,16 @@ func DriverManaged(p Params) (*Result, error) {
 // touch is ineffective and different placement policies can skew
 // performance").
 func PagePlacement(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Extension: page placement policies (speedup vs first touch, CPElide)",
-		Series:  []string{"interleaved", "single"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "ft", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "il", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, Placement: cpelide.PlacementInterleaved}},
-		{key: "sg", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, Placement: cpelide.PlacementSingle}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		ft := m[name]["ft"]
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"interleaved": m[name]["il"].Speedup(ft),
-				"single":      m[name]["sg"].Speedup(ft),
-			},
-		})
-	}
-	summarize(res, "interleaved", "single")
-	return res, nil
+	return study{
+		title: "Extension: page placement policies (speedup vs first touch, CPElide)",
+		variants: []variant{
+			at4("ft", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+			at4("il", cpelide.Options{Protocol: cpelide.ProtocolCPElide, Placement: cpelide.PlacementInterleaved}),
+			at4("sg", cpelide.Options{Protocol: cpelide.ProtocolCPElide, Placement: cpelide.PlacementSingle}),
+		},
+		columns: []column{speedup("interleaved", "il", "ft"), speedup("single", "sg", "ft")},
+		summary: []string{"interleaved", "single"},
+	}.run(p)
 }
 
 // InferredAnnotations compares profile-derived (record-and-replay) range
@@ -77,55 +48,29 @@ func PagePlacement(p Params) (*Result, error) {
 // ranges are exact, so irregular workloads whose static annotations must
 // conservatively declare whole structures can synchronize less.
 func InferredAnnotations(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Extension: profile-inferred annotations (speedup vs static ranges, CPElide)",
-		Series:  []string{"inferred"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "static", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "inf", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, InferAnnotations: true}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values:   map[string]float64{"inferred": m[name]["inf"].Speedup(m[name]["static"])},
-		})
-	}
-	summarize(res, "inferred")
-	return res, nil
+	return study{
+		title: "Extension: profile-inferred annotations (speedup vs static ranges, CPElide)",
+		variants: []variant{
+			at4("static", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+			at4("inf", cpelide.Options{Protocol: cpelide.ProtocolCPElide, InferAnnotations: true}),
+		},
+		columns: []column{speedup("inferred", "inf", "static")},
+		summary: []string{"inferred"},
+	}.run(p)
 }
 
 // Scheduling compares the round-robin WG-to-CU assignment against chunked
 // (LADM-style locality-centric) assignment under CPElide.
 func Scheduling(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Extension: chunked WG-to-CU scheduling (speedup vs round-robin, CPElide)",
-		Series:  []string{"chunked"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "rr", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "ch", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide, Scheduler: cpelide.ChunkedCU}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values:   map[string]float64{"chunked": m[name]["ch"].Speedup(m[name]["rr"])},
-		})
-	}
-	summarize(res, "chunked")
-	return res, nil
+	return study{
+		title: "Extension: chunked WG-to-CU scheduling (speedup vs round-robin, CPElide)",
+		variants: []variant{
+			at4("rr", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+			at4("ch", cpelide.Options{Protocol: cpelide.ProtocolCPElide, Scheduler: cpelide.ChunkedCU}),
+		},
+		columns: []column{speedup("chunked", "ch", "rr")},
+		summary: []string{"chunked"},
+	}.run(p)
 }
 
 // KernelFusion compares software kernel fusion on the baseline protocol
@@ -133,35 +78,22 @@ func Scheduling(p Params) (*Result, error) {
 // synchronization but is limited by pressure and safety, "and the
 // application still requires implicit synchronization").
 func KernelFusion(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Extension: kernel fusion vs CPElide (speedups over unfused Baseline)",
-		Series:  []string{"Base+fusion", "CPElide", "fused-kernels"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "base", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
-		{key: "elide", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "fused", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline},
-			fusion: &farmFusionDefault},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		base, elide, fused := m[name]["base"], m[name]["elide"], m[name]["fused"]
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"Base+fusion":   fused.Speedup(base),
-				"CPElide":       elide.Speedup(base),
-				"fused-kernels": float64(base.Kernels - fused.Kernels),
-			},
-		})
-	}
-	summarize(res, "Base+fusion", "CPElide")
-	return res, nil
+	fused := at4("fused", cpelide.Options{Protocol: cpelide.ProtocolBaseline})
+	fused.fusion = &farm.FusionSpec{} // the fusion pass's default limits
+	return study{
+		title: "Extension: kernel fusion vs CPElide (speedups over unfused Baseline)",
+		variants: []variant{
+			at4("base", cpelide.Options{Protocol: cpelide.ProtocolBaseline}),
+			at4("elide", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+			fused,
+		},
+		columns: []column{
+			speedup("Base+fusion", "fused", "base"),
+			speedup("CPElide", "elide", "base"),
+			{"fused-kernels", func(r reports) float64 { return float64(r["base"].Kernels - r["fused"].Kernels) }},
+		},
+		summary: []string{"Base+fusion", "CPElide"},
+	}.run(p)
 }
 
 // RemoteBankComparison evaluates the paper's design alternative (a) — a
@@ -171,33 +103,16 @@ func KernelFusion(p Params) (*Result, error) {
 // locality to avoid synchronization, (b) gives up reuse to stay simple,
 // CPElide keeps both.
 func RemoteBankComparison(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Extension: NUCA remote-bank L2 (alternative (a)) vs CPElide, speedups over Baseline",
-		Series:  []string{"RemoteBank", "CPElide"},
-		Summary: map[string]float64{},
-	}
-	cfg := cpelide.DefaultConfig(4)
-	m, err := runMatrix(p, []variant{
-		{key: "base", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
-		{key: "rb", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolRemoteBank}},
-		{key: "elide", cfg: cfg, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		base := m[name]["base"]
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"RemoteBank": m[name]["rb"].Speedup(base),
-				"CPElide":    m[name]["elide"].Speedup(base),
-			},
-		})
-	}
-	summarize(res, "RemoteBank", "CPElide")
-	return res, nil
+	return study{
+		title: "Extension: NUCA remote-bank L2 (alternative (a)) vs CPElide, speedups over Baseline",
+		variants: []variant{
+			at4("base", cpelide.Options{Protocol: cpelide.ProtocolBaseline}),
+			at4("rb", cpelide.Options{Protocol: cpelide.ProtocolRemoteBank}),
+			at4("elide", cpelide.Options{Protocol: cpelide.ProtocolCPElide}),
+		},
+		columns: []column{speedup("RemoteBank", "rb", "base"), speedup("CPElide", "elide", "base")},
+		summary: []string{"RemoteBank", "CPElide"},
+	}.run(p)
 }
 
 // MGPU evaluates the Section VI claim that CPElide also helps multi-GPU
@@ -205,34 +120,22 @@ func RemoteBankComparison(p Params) (*Result, error) {
 // two 4-chiplet GPUs joined by the inter-GPU interconnect. Speedups are
 // each protocol's gain over the baseline on the same topology.
 func MGPU(p Params) (*Result, error) {
-	res := &Result{
-		Title:   "Extension: MGPU (2 GPUs x 4 chiplets) vs single 8-chiplet MCM-GPU",
-		Series:  []string{"1gpu-CPElide", "2gpu-CPElide", "2gpu-HMG"},
-		Summary: map[string]float64{},
-	}
 	single := cpelide.DefaultConfig(8)
 	dual := cpelide.MGPUConfig(2, 4)
-	m, err := runMatrix(p, []variant{
-		{key: "b1", cfg: single, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
-		{key: "e1", cfg: single, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "b2", cfg: dual, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
-		{key: "e2", cfg: dual, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
-		{key: "h2", cfg: dual, opt: cpelide.Options{Protocol: cpelide.ProtocolHMG}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range p.names() {
-		res.Rows = append(res.Rows, Row{
-			Workload: name,
-			Class:    classOf(name),
-			Values: map[string]float64{
-				"1gpu-CPElide": m[name]["e1"].Speedup(m[name]["b1"]),
-				"2gpu-CPElide": m[name]["e2"].Speedup(m[name]["b2"]),
-				"2gpu-HMG":     m[name]["h2"].Speedup(m[name]["b2"]),
-			},
-		})
-	}
-	summarize(res, "1gpu-CPElide", "2gpu-CPElide", "2gpu-HMG")
-	return res, nil
+	return study{
+		title: "Extension: MGPU (2 GPUs x 4 chiplets) vs single 8-chiplet MCM-GPU",
+		variants: []variant{
+			{key: "b1", cfg: single, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
+			{key: "e1", cfg: single, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
+			{key: "b2", cfg: dual, opt: cpelide.Options{Protocol: cpelide.ProtocolBaseline}},
+			{key: "e2", cfg: dual, opt: cpelide.Options{Protocol: cpelide.ProtocolCPElide}},
+			{key: "h2", cfg: dual, opt: cpelide.Options{Protocol: cpelide.ProtocolHMG}},
+		},
+		columns: []column{
+			speedup("1gpu-CPElide", "e1", "b1"),
+			speedup("2gpu-CPElide", "e2", "b2"),
+			speedup("2gpu-HMG", "h2", "b2"),
+		},
+		summary: []string{"1gpu-CPElide", "2gpu-CPElide", "2gpu-HMG"},
+	}.run(p)
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro"
 	"repro/internal/farm"
-	"repro/internal/workloads"
 )
 
 // The experiment harness fans its (workload x configuration x protocol)
@@ -22,10 +21,10 @@ var (
 	sharedFarm *farm.Farm
 )
 
-// Shared returns the process-wide default farm (all CPUs, default cache).
+// shared returns the process-wide default farm (all CPUs, default cache).
 // It is never closed; experiment commands that want their own pool size or
 // instrumentation pass a Farm via Params.
-func Shared() *farm.Farm {
+func shared() *farm.Farm {
 	sharedOnce.Do(func() { sharedFarm = farm.New(farm.Options{}) })
 	return sharedFarm
 }
@@ -35,12 +34,8 @@ func (p Params) engine() *farm.Farm {
 	if p.Farm != nil {
 		return p.Farm
 	}
-	return Shared()
+	return shared()
 }
-
-// farmFusionDefault requests default-policy adjacent-kernel fusion for a
-// variant (zero limits mean the fusion pass's built-in defaults).
-var farmFusionDefault = farm.FusionSpec{}
 
 // variant is one configuration column of an experiment matrix.
 type variant struct {
@@ -92,20 +87,4 @@ func runMatrix(p Params, vars []variant) (map[string]map[string]*cpelide.Report,
 		out[name] = row
 	}
 	return out, nil
-}
-
-// runOne builds and runs a single benchmark through the farm (kept for
-// targeted tests and one-off comparisons outside a matrix).
-func runOne(name string, cfg cpelide.Config, wp workloads.Params, opt cpelide.Options) (*cpelide.Report, error) {
-	rep, err := Shared().Submit(context.Background(), farm.Job{
-		Workload: name, Params: wp, Config: cfg, Options: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if rep.StaleReads != 0 {
-		return nil, fmt.Errorf("experiments: %s/%s: %d stale reads (coherence violation)",
-			name, rep.Protocol, rep.StaleReads)
-	}
-	return rep, nil
 }
