@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -37,11 +38,14 @@ import (
 	"repro/internal/trace"
 )
 
+// onlyKeys are the figure groups -only selects from, in output order.
+var onlyKeys = []string{"fig2", "fig8", "fig9", "fig10", "table2", "scaling", "multistream", "ablations", "extensions"}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paper-figures: ")
 	var (
-		only     = flag.String("only", "", "comma-separated subset: fig2,fig8,fig9,fig10,table2,scaling,multistream,ablations,extensions")
+		only     = flag.String("only", "", "comma-separated subset: "+strings.Join(onlyKeys, ","))
 		scale    = flag.Float64("scale", 1.0, "workload footprint scale")
 		iters    = flag.Int("iters", 0, "override iterative workloads' iteration count")
 		chiplets = flag.String("chiplets", "2,4,6,7", "chiplet counts for fig8")
@@ -75,7 +79,12 @@ func main() {
 	want := map[string]bool{}
 	if *only != "" {
 		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
+			k = strings.TrimSpace(k)
+			if !slices.Contains(onlyKeys, k) {
+				fmt.Fprintf(os.Stderr, "paper-figures: unknown -only key %q (valid: %s)\n", k, strings.Join(onlyKeys, ", "))
+				os.Exit(2)
+			}
+			want[k] = true
 		}
 	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }
