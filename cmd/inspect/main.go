@@ -1,32 +1,26 @@
 // Command inspect prints what the global command processor sees for a
-// benchmark: its data structures, the per-kernel argument metadata
-// (modes, patterns, per-chiplet ranges), the dynamic kernel sequence, and a
-// dry-run of the Chiplet Coherence Table's decisions for the first launches.
-//
-// With -audit it instead runs a full CPElide simulation and prints the
-// elision audit log: per kernel boundary, which implicit acquires/releases
-// were issued vs. elided on each chiplet, and the coherence-table state
-// that justified the decision.
+// benchmark: its data structures and the per-kernel argument metadata
+// (modes, patterns). It then runs a full CPElide simulation and prints the
+// elision audit log for the first launches: per kernel boundary, which
+// implicit acquires/releases were issued vs. elided on each chiplet, and
+// (with -audit-table) the coherence-table state that justified the
+// decision.
 //
 // Usage:
 //
 //	inspect -workload hotspot3D
 //	inspect -workload sssp -launches 8 -chiplets 4
-//	inspect -workload color -audit -launches 12
+//	inspect -workload color -launches 12 -audit-table
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 
 	"repro"
-	"repro/internal/core"
-	"repro/internal/cp"
 	"repro/internal/kernels"
-	"repro/internal/mem"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -36,11 +30,10 @@ func main() {
 	log.SetPrefix("inspect: ")
 	var (
 		name     = flag.String("workload", "square", "benchmark name")
-		chiplets = flag.Int("chiplets", 4, "chiplet count for partitioning")
-		launches = flag.Int("launches", 6, "number of launches to dry-run through the table")
+		chiplets = flag.Int("chiplets", 4, "chiplet count of the simulated GPU")
+		launches = flag.Int("launches", 6, "number of kernel boundaries to print from the audit log")
 		scale    = flag.Float64("scale", 1.0, "footprint scale")
-		audit    = flag.Bool("audit", false, "run a CPElide simulation and print the elision audit log")
-		showTbl  = flag.Bool("audit-table", false, "with -audit, also print each boundary's pre-launch table state")
+		showTbl  = flag.Bool("audit-table", false, "also print each boundary's pre-launch table state")
 	)
 	flag.Parse()
 
@@ -48,11 +41,6 @@ func main() {
 	w, err := workloads.Build(*name, alloc, workloads.Params{Scale: *scale})
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *audit {
-		runAudit(w, *chiplets, *launches, *showTbl)
-		return
 	}
 
 	fmt.Printf("%s (%s reuse) — %d structures, %d dynamic kernels, %.1f MB footprint\n\n",
@@ -88,49 +76,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\nChiplet Coherence Table dry-run (%d chiplets, first %d launches):\n",
-		*chiplets, *launches)
-	fmt.Println("  (annotation metadata only — without page-placement knowledge the")
-	fmt.Println("  table is more conservative than in a full simulation)")
-	table, err := core.NewTable(core.Config{Chiplets: *chiplets})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "inspect:", err)
-		os.Exit(2)
-	}
-	chs := make([]int, *chiplets)
-	for i := range chs {
-		chs[i] = i
-	}
-	for inst, k := range w.Sequence {
-		if inst >= *launches {
-			break
-		}
-		l := cp.BuildLaunch(k, inst, 0, chs, 64, true)
-		views := make([]core.ArgView, 0, len(k.Args))
-		for ai, a := range k.Args {
-			v := core.ArgView{
-				Base:   a.DS.Base,
-				Full:   a.DS.Range(),
-				Mode:   a.Mode,
-				Ranges: make([]mem.RangeSet, *chiplets),
-			}
-			for slot, c := range chs {
-				v.Ranges[c] = l.ArgRanges[ai][slot]
-			}
-			views = append(views, v)
-		}
-		ops := table.OnKernelLaunch(views)
-		fmt.Printf("  #%-3d %-24s -> %d ops", inst, k.Name, len(ops))
-		for _, op := range ops {
-			kind := "acquire"
-			if op.Flush {
-				kind = "release"
-			}
-			fmt.Printf(" [%s c%d]", kind, op.Chiplet)
-		}
-		fmt.Println()
-	}
-	fmt.Printf("\n%s", table)
+	fmt.Println()
+	runAudit(w, *chiplets, *launches, *showTbl)
 }
 
 // runAudit executes the workload under CPElide with tracing enabled and

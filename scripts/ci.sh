@@ -49,9 +49,10 @@ job_test() {
 
 # One SHA-256 per simulated run of the reduced-scale paper matrix (912 runs),
 # diffed against testdata/paper_digests.json; a mismatch lists the farm job
-# keys whose reports changed. This is the byte-identity bar for every
+# keys whose reports changed. The same run's figures must equal
+# testdata/paper_figures.json. This is the byte-identity bar for every
 # refactor, and it sees the cache replacement policy (an MRU-eviction mutant
-# changes 203 runs).
+# changes 20 runs, DESIGN §16 row 7).
 job_paper_digests() {
   bash scripts/paper_digests.sh
 }
