@@ -196,7 +196,12 @@ func speedup(name, v, ref string) column {
 // ratio is the column of f on variant v's report over f on ref's (0 when
 // ref's is 0).
 func ratio(name, v, ref string, f func(*cpelide.Report) float64) column {
-	return column{name, func(r reports) float64 { return ratioOrZero(f(r[v]), f(r[ref])) }}
+	return column{name, func(r reports) float64 {
+		if d := f(r[ref]); d != 0 {
+			return f(r[v]) / d
+		}
+		return 0
+	}}
 }
 
 // counter is the column of one counter of variant v's report.
@@ -205,13 +210,6 @@ func counter(name, v string, c stats.Counter) column {
 }
 
 func cycles(r *cpelide.Report) float64 { return float64(r.Cycles) }
-
-func ratioOrZero(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
 
 // at4 is a variant on the default 4-chiplet machine.
 func at4(key string, opt cpelide.Options) variant {
