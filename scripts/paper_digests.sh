@@ -51,7 +51,7 @@ if cmp -s "$WANT" "$TMP/got.json"; then
 		/"Title":/ { title = $0; sub(/^ *"Title": /, "", title); sub(/,$/, "", title); row = "" }
 		/"Workload":/ { row = $0; sub(/^ *"Workload": /, "", row); sub(/,$/, "", row) }
 		/"Summary":/ { row = "summary" }
-		FNR in at { print "  " title " " row }' "$TMP/lines.txt" "$FIGS" | uniq | head -20
+		FNR in at { print "  " title " " row }' "$TMP/lines.txt" "$FIGS" | uniq | head -20 || true
 	diff -u "$FIGS" "$TMP/figures.json" | head -40 || true
 	echo "If the change is intended, re-bless with: bash scripts/paper_digests.sh --update"
 	exit 1
